@@ -40,10 +40,6 @@ from . import zoo
 
 __all__ = ["main", "read_matrix_file", "write_matrix_file"]
 
-COMMANDS = ("beurling", "sector", "rbound", "r-beurling", "cosine",
-            "zero-two", "fattorini", "interpolate", "extrapolate",
-            "gaussian", "maxreg", "zoo")
-
 # Default tolerances, echoed into every report so it is self-contained.
 TOLERANCES = {
     "bernstein": 1e-7,
@@ -68,8 +64,6 @@ TOLERANCES = {
 }
 
 _MARGIN_THRESHOLD = 0.05
-_VERDICTS = ("separated", "not_separated", "plateau_two", "plateau_zero",
-             "intermediate")
 
 
 # ---------------------------------------------------------------- parsing
@@ -98,15 +92,72 @@ def parse_poly(text: str) -> Polynomial:
     return Polynomial([_as_complex(v, "--poly") for v in data])
 
 
-def _parse_p(text) -> float:
-    if isinstance(text, (int, float)):
-        return float(text)
-    if str(text).lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        return float(text)
-    except ValueError:
-        raise BadParams(f"exponent must be a number or 'inf', got {text!r}") from None
+# Casts: each takes a flag's text or a config-file value.  A ValueError or
+# TypeError becomes BadParams naming the flag (see Resolver).
+
+def _number_list(v) -> list:
+    if isinstance(v, str):
+        v = json.loads(v)
+    if not (isinstance(v, list) and v
+            and all(isinstance(x, (int, float)) for x in v)):
+        raise ValueError("expected a nonempty JSON list of numbers")
+    return v
+
+
+def _complex(v) -> complex:
+    return _as_complex(json.loads(v) if isinstance(v, str) else v, "--zeta")
+
+
+def _zoo_params(v) -> dict:
+    """Repeated key=JSON items from --param, or a config-file object."""
+    if isinstance(v, dict):
+        return dict(v)
+    params = {}
+    for item in v:
+        if "=" not in item:
+            raise BadParams(f"--param needs key=value, got {item!r}")
+        k, text = item.split("=", 1)
+        params[k] = _json_arg(text, f"--param {k}")
+    return params
+
+
+def _one_of(*names: str):
+    def cast(v):
+        if v not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return v
+    return cast
+
+
+# Every flag once: key (argparse dest and config-file name) -> (cast, help).
+_FLAGS = {
+    **dict.fromkeys(("seed", "dim", "points_per_decade", "n_power",
+                     "alpha_points", "mc_samples", "exact_cap", "budget",
+                     "pairs", "n_max", "nodes", "trials", "ambient_dim",
+                     "points"), (int, None)),
+    # Exponents among these: float reads 'inf'.
+    **dict.fromkeys(("p", "rad_p", "p1", "p2", "p_target", "t_max",
+                     "decades", "k_factor", "t0", "alpha_decades", "lam",
+                     "omega", "t", "theta", "period", "a", "c"),
+                    (float, None)),
+    "config": (str, "JSON config file; flags win"),
+    "out": (str, "output file path"),
+    "format": (_one_of("json", "csv"), "json or csv"),
+    "action": (_one_of("list", "build"), "list (default) or build"),
+    "zoo": (str, "zoo entry name"),
+    "param": (_zoo_params, "zoo builder parameter key=JSON, repeatable"),
+    "matrix_file": (str, None),
+    "weights": (str, "'unit' or a weights file"),
+    "poly": (str, "JSON coefficient list, lowest first"),
+    "zeta": (_complex, "JSON number or [re, im]"),
+    "mode": (_one_of("exact", "monte_carlo"), "exact or monte_carlo"),
+    "dims": (_number_list, "JSON list of dimensions"),
+    "construction": (_one_of("auto", "group", "generator"),
+                     "auto, group or generator"),
+    "n_range": (_number_list, "JSON list of powers N"),
+    "t_list": (_number_list, "JSON list of times"),
+    "tau_list": (_number_list, "JSON list of horizons"),
+}
 
 
 def read_matrix_file(path: str) -> np.ndarray:
@@ -143,36 +194,49 @@ def write_matrix_file(path: str, M: np.ndarray) -> None:
 class Resolver:
     """Flag value, else config-file value, else pinned default.
 
-    Every resolved value lands in the config echo of the report.
+    Config-file keys may be spelled like the flag (``t-max``) or like the
+    key (``t_max``).  Each value goes through its cast in ``_FLAGS``; a
+    value the cast rejects is invalid input.  Every resolved value lands
+    in the config echo of the report.
     """
 
     def __init__(self, ns: argparse.Namespace):
         self.ns = ns
-        self.file_cfg = {}
-        if getattr(ns, "config", None):
+        cfg = {}
+        if ns.config:
             try:
                 with open(ns.config) as fh:
-                    self.file_cfg = json.load(fh)
+                    cfg = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise BadParams(f"cannot load config {ns.config}: {exc}") from None
-            if not isinstance(self.file_cfg, dict):
+            if not isinstance(cfg, dict):
                 raise BadParams("config file must hold a JSON object")
+        self.file_cfg = {k.replace("-", "_"): v for k, v in cfg.items()}
         self.echo: dict = {}
 
-    def __call__(self, key: str, default, cast=None):
-        v = getattr(self.ns, key.replace("-", "_"), None)
+    def __call__(self, key: str, default):
+        v = getattr(self.ns, key, None)
         if v is None:
             v = self.file_cfg.get(key, default)
-        if cast is not None and v is not None:
-            v = cast(v)
+        if v is not None:
+            try:
+                v = _FLAGS[key][0](v)
+            except ValidationError:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise BadParams(f"--{key.replace('_', '-')} {v!r}: {exc}") from None
         self.echo[key] = v
         return v
+
+
+def _zoo_spec(r: Resolver, name: str, dim: int) -> GeneratorSpec:
+    return zoo.build(name, dim, r("param", {}) or None)
 
 
 def _generator(r: Resolver) -> GeneratorSpec:
     path = r("matrix_file", None)
     name = r("zoo", None)
-    dim = r("dim", 64, int)
+    dim = r("dim", 64)
     if path is not None:
         M = read_matrix_file(path)
         r.echo["dim"] = M.shape[0]
@@ -180,22 +244,11 @@ def _generator(r: Resolver) -> GeneratorSpec:
                              family_index=M.shape[0])
     if name is None:
         raise BadParams("a generator is required: --zoo NAME or --matrix-file PATH")
-    raw = r("param", None)
-    params = {}
-    if isinstance(raw, dict):
-        params = dict(raw)
-    elif raw:
-        for item in raw:
-            if "=" not in item:
-                raise BadParams(f"--param needs key=value, got {item!r}")
-            k, v = item.split("=", 1)
-            params[k] = _json_arg(v, f"--param {k}")
-    r.echo["param"] = params
-    return zoo.build(name, dim, params or None)
+    return _zoo_spec(r, name, dim)
 
 
 def _space(r: Resolver, dim: int) -> GridSpace:
-    p = r("p", 2.0, _parse_p)
+    p = r("p", 2.0)
     wpath = r("weights", "unit")
     if wpath == "unit":
         return GridSpace.unit(dim, p)
@@ -208,39 +261,30 @@ def _space(r: Resolver, dim: int) -> GridSpace:
 
 def _t_grid(r: Resolver, t_max_default: float = 1.0,
             decades_default: float = 3.0, per_decade_default: int = 16):
-    return log_time_grid(r("t_max", t_max_default, float),
-                         r("decades", decades_default, float),
-                         r("points_per_decade", per_decade_default, int))
+    return log_time_grid(r("t_max", t_max_default),
+                         r("decades", decades_default),
+                         r("points_per_decade", per_decade_default))
 
 
 def _rad_config(r: Resolver) -> RademacherConfig:
     return RademacherConfig(
-        p=r("rad_p", 2.0, _parse_p),
+        p=r("rad_p", 2.0),
         mode=r("mode", "exact"),
-        mc_samples=r("mc_samples", 4096, int),
-        seed=r("seed", 0, int),
-        exact_cap=r("exact_cap", 14, int),
+        mc_samples=r("mc_samples", 4096),
+        seed=r("seed", 0),
+        exact_cap=r("exact_cap", 14),
     )
 
 
-def _zeta(r: Resolver) -> complex:
-    raw = r("zeta", [-1.0, 0.0])
-    if isinstance(raw, str):
-        raw = _json_arg(raw, "--zeta")
-    z = _as_complex(raw, "--zeta")
-    r.echo["zeta"] = [z.real, z.imag]
-    return z
-
-
 def _triple(r: Resolver) -> InterpolationTriple:
-    p1 = r("p1", 2.0, _parse_p)
-    p2 = r("p2", math.inf, _parse_p)
-    target = r("p_target", None, _parse_p)
+    p1 = r("p1", 2.0)
+    p2 = r("p2", math.inf)
+    target = r("p_target", None)
     if target is not None:
         tr = InterpolationTriple.from_target(p1, p2, target)
         r.echo["theta"] = tr.theta
         return tr
-    theta = r("theta", 0.5, float)
+    theta = r("theta", 0.5)
     return InterpolationTriple(p1, p2, theta)
 
 
@@ -327,9 +371,9 @@ def cmd_beurling(r: Resolver):
     f = parse_poly(r("poly", "[-1, 1]"))
     space = _space(r, gen.dim)
     grid = _t_grid(r)
-    seed = r("seed", 0, int)
-    N = r("n_power", 1, int)
-    K = r("k_factor", 0.0, float)
+    seed = r("seed", 0)
+    N = r("n_power", 1)
+    K = r("k_factor", 0.0)
     if N == 1 and K == 0.0:
         prof = beurling_profile(gen, f, grid, space, seed)
     else:
@@ -349,13 +393,13 @@ def cmd_beurling(r: Resolver):
 def cmd_sector(r: Resolver):
     gen = _generator(r)
     space = _space(r, gen.dim)
-    zeta = _zeta(r)
-    t0 = r("t0", 1.0, float)
-    seed = r("seed", 0, int)
+    zeta = r("zeta", [-1.0, 0.0])
+    t0 = r("t0", 1.0)
+    seed = r("seed", 0)
     theta = math.atan2(zeta.imag, zeta.real)
     theta_pos = theta if theta > 0.0 else theta + 2.0 * math.pi
-    n_alpha = r("alpha_points", 16, int)
-    dec = r("alpha_decades", 4.0, float)
+    n_alpha = r("alpha_points", 16)
+    dec = r("alpha_decades", 4.0)
     ts = t0 * 10.0 ** (-dec * np.arange(n_alpha) / max(n_alpha - 1, 1))
     alpha = np.concatenate([theta_pos / ts, (theta_pos - 2 * math.pi) / ts])
     rep = sector_report(gen, zeta, t0, space, alpha, seed)
@@ -379,7 +423,7 @@ def cmd_rbound(r: Resolver):
     space = _space(r, gen.dim)
     cfg = _rad_config(r)
     grid = _t_grid(r, 1.0, 2.0, 8)
-    budget = r("budget", 32, int)
+    budget = r("budget", 32)
     fam = [gen.semigroup(float(t)) for t in grid]
     est = rbound_estimate(fam, space, cfg, budget)
     norms = [op_norm(T, space, seed=cfg.seed).value for T in fam]
@@ -402,7 +446,7 @@ def cmd_r_beurling(r: Resolver):
     space = _space(r, gen.dim)
     cfg = _rad_config(r)
     grid = _t_grid(r)
-    budget = r("budget", 16, int)
+    budget = r("budget", 16)
     prof = r_beurling_profile(gen, f, grid, space, cfg, budget)
     margin = prof.disc_value - float(prof.values[0])
     results = {
@@ -417,10 +461,10 @@ def cmd_r_beurling(r: Resolver):
 def cmd_cosine(r: Resolver):
     gen = _generator(r)
     fam = cosine_from_generator(gen.matrix, label=gen.label)
-    t_max = r("t_max", 1.0, float)
-    pairs = r("pairs", 20, int)
-    seed = r("seed", 0, int)
-    lam = r("lam", 3.0, float)
+    t_max = r("t_max", 1.0)
+    pairs = r("pairs", 20)
+    seed = r("seed", 0)
+    lam = r("lam", 3.0)
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
@@ -448,16 +492,17 @@ def cmd_zero_two(r: Resolver):
     name = r("zoo", None)
     if name is None:
         raise BadParams("zero-two needs --zoo NAME")
-    dims = r("dims", [16, 32, 64], lambda v: _json_arg(v, "--dims")
-             if isinstance(v, str) else v)
-    dims = [int(d) for d in dims]
+    dims = [int(d) for d in r("dims", [16, 32, 64])]
     construction = r("construction", "auto")
-    p = r("p", 2.0, _parse_p)
+    p = r("p", 2.0)
     max_dim = max(dims)
     grid = _t_grid(r, 1.0, math.log10(max_dim) + 1.0, 8)
+    params = r("param", {})
+    if not params:
+        del r.echo["param"]         # echoed only when given
     families = []
     for d in dims:
-        spec = zoo.build(name, d)
+        spec = zoo.build(name, d, params or None)
         from_group = (construction == "group"
                       or (construction == "auto"
                           and name in ("skew_diag", "shift_periodic")))
@@ -481,10 +526,10 @@ def cmd_zero_two(r: Resolver):
 
 def cmd_fattorini(r: Resolver):
     gen = _generator(r)
-    omega = r("omega", 0.5, float)
-    n_max = r("n_max", 8, int)
-    t = r("t", 0.8, float)
-    nodes = r("nodes", 128, int)
+    omega = r("omega", 0.5)
+    n_max = r("n_max", 8)
+    t = r("t", 0.8)
+    nodes = r("nodes", 128)
     fam = cosine_from_generator(gen.matrix, label=gen.label)
     rep = fattorini_series(fam, omega, n_max, t, quad_nodes=nodes)
     results = {
@@ -501,8 +546,8 @@ def cmd_fattorini(r: Resolver):
 def cmd_interpolate(r: Resolver):
     gen = _generator(r)
     tr = _triple(r)
-    seed = r("seed", 0, int)
-    trials = r("trials", 100, int)
+    seed = r("seed", 0)
+    trials = r("trials", 100)
     grid = _t_grid(r)
     rng = np.random.default_rng(seed)
     violations = 0
@@ -530,8 +575,7 @@ def cmd_extrapolate(r: Resolver):
     gen = _generator(r)
     f = parse_poly(r("poly", "[-1, 1]"))
     tr = _triple(r)
-    n_range = r("n_range", list(range(1, 13)),
-                lambda v: _json_arg(v, "--n-range") if isinstance(v, str) else v)
+    n_range = r("n_range", list(range(1, 13)))
     grid = _t_grid(r)
     rep = extrapolation_bench(gen, f, tr, grid, n_range)
     results = {
@@ -549,19 +593,18 @@ def cmd_extrapolate(r: Resolver):
 
 def cmd_gaussian(r: Resolver):
     spec = KernelSpec(
-        ambient_dim=r("ambient_dim", 1, int),
-        points=r("points", 64, int),
-        period=r("period", 20.0, float),
-        a=r("a", 1.0, float),
-        c=r("c", 1.0, float),
+        ambient_dim=r("ambient_dim", 1),
+        points=r("points", 64),
+        period=r("period", 20.0),
+        a=r("a", 1.0),
+        c=r("c", 1.0),
     )
     # Defaults sit where the grid resolves the kernel: alias error at the
     # Nyquist scale decays like exp(-t (2 pi / h)^2), so small t needs a
     # finer grid or a shorter period.
-    t_list = r("t_list", [0.2, 0.4, 0.8],
-               lambda v: _json_arg(v, "--t-list") if isinstance(v, str) else v)
-    seed = r("seed", 0, int)
-    trials = r("trials", 8, int)
+    t_list = r("t_list", [0.2, 0.4, 0.8])
+    seed = r("seed", 0)
+    trials = r("trials", 8)
     rng = np.random.default_rng(seed)
     probe = rng.standard_normal(spec.size)
     rows = []
@@ -603,10 +646,9 @@ def cmd_gaussian(r: Resolver):
 
 def cmd_maxreg(r: Resolver):
     gen = _generator(r)
-    p = r("p", 2.0, _parse_p)
-    tau_list = r("tau_list", [0.5, 1.0],
-                 lambda v: _json_arg(v, "--tau-list") if isinstance(v, str) else v)
-    seed = r("seed", 0, int)
+    p = r("p", 2.0)
+    tau_list = r("tau_list", [0.5, 1.0])
+    seed = r("seed", 0)
     rng = np.random.default_rng(seed)
     n_modes = 3
     amps = rng.standard_normal((n_modes, gen.dim))
@@ -633,7 +675,7 @@ def cmd_zoo(r: Resolver):
         out = r("out", None)
         if name is None or out is None:
             raise BadParams("zoo build needs --zoo NAME and --out PATH")
-        spec = zoo.build(name, r("dim", 64, int))
+        spec = _zoo_spec(r, name, r("dim", 64))
         write_matrix_file(out, spec.matrix)
         print(f"wrote matrix file {out}")
         return None, [], []
@@ -644,19 +686,34 @@ def cmd_zoo(r: Resolver):
     return results, ["name", "expected", "notes"], rows
 
 
-_DISPATCH = {
-    "beurling": cmd_beurling,
-    "sector": cmd_sector,
-    "rbound": cmd_rbound,
-    "r-beurling": cmd_r_beurling,
-    "cosine": cmd_cosine,
-    "zero-two": cmd_zero_two,
-    "fattorini": cmd_fattorini,
-    "interpolate": cmd_interpolate,
-    "extrapolate": cmd_extrapolate,
-    "gaussian": cmd_gaussian,
-    "maxreg": cmd_maxreg,
-    "zoo": cmd_zoo,
+# Flags every subcommand takes, and flag groups read by the shared helpers.
+_COMMON = ("config", "seed", "out", "format")
+_GENERATOR = ("matrix_file", "zoo", "dim", "param")
+_SPACE = ("p", "weights")
+_GRID = ("t_max", "decades", "points_per_decade")
+_RBOUND = ("rad_p", "mode", "mc_samples", "exact_cap", "budget")
+_TRIPLE = ("p1", "p2", "p_target", "theta")
+
+# Subcommand -> (handler, the flags it reads besides _COMMON).
+COMMANDS = {
+    "beurling": (cmd_beurling, _GENERATOR + ("poly",) + _SPACE + _GRID
+                 + ("n_power", "k_factor")),
+    "sector": (cmd_sector, _GENERATOR + _SPACE
+               + ("zeta", "t0", "alpha_points", "alpha_decades")),
+    "rbound": (cmd_rbound, _GENERATOR + _SPACE + _RBOUND + _GRID),
+    "r-beurling": (cmd_r_beurling, _GENERATOR + ("poly",) + _SPACE
+                   + _RBOUND + _GRID),
+    "cosine": (cmd_cosine, _GENERATOR + ("t_max", "pairs", "lam")),
+    "zero-two": (cmd_zero_two, ("zoo", "param", "dims", "construction", "p")
+                 + _GRID),
+    "fattorini": (cmd_fattorini, _GENERATOR + ("omega", "n_max", "t", "nodes")),
+    "interpolate": (cmd_interpolate, _GENERATOR + _TRIPLE + ("trials",) + _GRID),
+    "extrapolate": (cmd_extrapolate, _GENERATOR + ("poly",) + _TRIPLE
+                    + ("n_range",) + _GRID),
+    "gaussian": (cmd_gaussian, ("ambient_dim", "points", "period", "a", "c",
+                                "t_list", "trials")),
+    "maxreg": (cmd_maxreg, _GENERATOR + ("p", "tau_list")),
+    "zoo": (cmd_zoo, ("action", "zoo", "dim", "param")),
 }
 
 
@@ -667,69 +724,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "at small times: profiles, sector reports, randomized "
                     "bounds, cosine families, interpolation and kernel checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, keys) in COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--config", help="JSON config file; flags win")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", help="output file path")
-        sp.add_argument("--format", choices=["json", "csv"])
-        sp.add_argument("--zoo", dest="zoo", help="zoo entry name")
-        sp.add_argument("--dim", type=int)
-        sp.add_argument("--param", action="append",
-                        help="zoo builder parameter key=JSON, repeatable")
-        sp.add_argument("--matrix-file")
-        sp.add_argument("--p")
-        sp.add_argument("--weights", help="'unit' or a weights file")
-        sp.add_argument("--poly", help="JSON coefficient list, lowest first")
-        sp.add_argument("--t-max", type=float)
-        sp.add_argument("--decades", type=float)
-        sp.add_argument("--points-per-decade", type=int)
-        if name == "beurling":
-            sp.add_argument("--n-power", type=int)
-            sp.add_argument("--k-factor", type=float)
-        if name in ("sector",):
-            sp.add_argument("--zeta", help="JSON number or [re, im]")
-            sp.add_argument("--t0", type=float)
-            sp.add_argument("--alpha-points", type=int)
-            sp.add_argument("--alpha-decades", type=float)
-        if name in ("rbound", "r-beurling"):
-            sp.add_argument("--mode", choices=["exact", "monte_carlo"])
-            sp.add_argument("--rad-p")
-            sp.add_argument("--mc-samples", type=int)
-            sp.add_argument("--exact-cap", type=int)
-            sp.add_argument("--budget", type=int)
-        if name == "cosine":
-            sp.add_argument("--pairs", type=int)
-            sp.add_argument("--lam", type=float)
-        if name == "zero-two":
-            sp.add_argument("--dims", help="JSON list of dimensions")
-            sp.add_argument("--construction",
-                            choices=["auto", "group", "generator"])
-        if name == "fattorini":
-            sp.add_argument("--omega", type=float)
-            sp.add_argument("--n-max", type=int)
-            sp.add_argument("--t", type=float)
-            sp.add_argument("--nodes", type=int)
-        if name in ("interpolate", "extrapolate"):
-            sp.add_argument("--p1")
-            sp.add_argument("--p2")
-            sp.add_argument("--theta", type=float)
-            sp.add_argument("--p-target")
-            sp.add_argument("--trials", type=int)
-            sp.add_argument("--n-range", help="JSON list of powers N")
-        if name == "gaussian":
-            sp.add_argument("--ambient-dim", type=int)
-            sp.add_argument("--points", type=int)
-            sp.add_argument("--period", type=float)
-            sp.add_argument("--a", type=float)
-            sp.add_argument("--c", type=float)
-            sp.add_argument("--t-list", help="JSON list of times")
-            sp.add_argument("--trials", type=int)
-        if name == "maxreg":
-            sp.add_argument("--tau-list", help="JSON list of horizons")
-        if name == "zoo":
-            sp.add_argument("action", nargs="?", default="list",
-                            choices=["list", "build"])
+        for key in _COMMON + keys:
+            help_ = _FLAGS[key][1]
+            if key == "action":         # zoo's optional positional
+                sp.add_argument(key, nargs="?", help=help_)
+            else:
+                sp.add_argument("--" + key.replace("_", "-"), help=help_,
+                                action="append" if key == "param" else "store")
     return parser
 
 
@@ -739,8 +742,8 @@ def main(argv: Optional[list] = None) -> int:
     started = time.perf_counter()
     try:
         r = Resolver(ns)
-        r("seed", 0, int)
-        results, header, rows = _DISPATCH[ns.command](r)
+        r("seed", 0)
+        results, header, rows = COMMANDS[ns.command][0](r)
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -21,9 +21,11 @@ import numpy as np
 
 from .discpoly import Polynomial, eval_matrix, power_expand
 from .errors import (BadParams, NumericalError, QuadratureDivergence,
-                     SeriesNotConverged, SpectrumHit, TailTooFat)
-from .linalg import mat_exp, op_norm, quad_strong_integral, resolvent
-from .semigroup import GrowthBound, _check_grid, _smallest_decade_max
+                     SeriesNotConverged, TailTooFat)
+from .linalg import (_is_diagonal, mat_exp, op_norm, quad_strong_integral,
+                     resolvent)
+from .semigroup import (GrowthBound, _check_grid, _inverse_dim_limit,
+                        _smallest_decade_max)
 from .spaces import GridSpace
 
 __all__ = [
@@ -44,11 +46,6 @@ _GEN_CHECK_TOL = 1e-6
 _PLATEAU_HIGH = 2.0 - 0.05
 _PLATEAU_LOW = 0.05
 _WITNESS_POLY = Polynomial([0.5, -1.0, 0.5])   # (z - 1)^2 / 2
-
-
-def _diag_or_none(A: np.ndarray) -> Optional[np.ndarray]:
-    d = np.diag(A)
-    return d if not np.any(A - np.diag(d)) else None
 
 
 def _sinhc(z: np.ndarray) -> np.ndarray:
@@ -74,9 +71,9 @@ class CosineFamily:
         self.group = None if group is None else np.asarray(group, dtype=complex)
         self.label = label
         self.growth = growth
-        self._diag = _diag_or_none(A)
-        self._gdiag = (None if self.group is None
-                       else _diag_or_none(self.group))
+        self._diag = np.diag(A) if _is_diagonal(A) else None
+        self._gdiag = (None if self.group is None or not _is_diagonal(self.group)
+                       else np.diag(self.group))
         if verify:
             norm1 = float(np.max(np.sum(np.abs(A), axis=0))) if A.size else 0.0
             h = 3.2e-4 / math.sqrt(max(1.0, norm1))
@@ -251,14 +248,8 @@ def zero_two_profile(families: Sequence[CosineFamily], t_grid,
         verdict = "plateau_zero"
     else:
         verdict = "intermediate"
-    d = np.asarray(dims, dtype=float)
-    v = np.asarray(plateaus)
-    if d.size >= 2:
-        X = np.stack([np.ones_like(d), 1.0 / d], axis=1)
-        coef, *_ = np.linalg.lstsq(X, v, rcond=None)
-        extrapolated = float(coef[0])
-    else:
-        extrapolated = float(v[0])
+    extrapolated = _inverse_dim_limit(np.asarray(dims, dtype=float),
+                                      np.asarray(plateaus))
     return ZeroTwoReport(dims, t, values, plateaus, extrapolated, verdict)
 
 

@@ -32,7 +32,6 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET_TOL = 1e-12          # radians; final peak bracket width
 _ROOT_TOL = 1e-6              # synthetic-division residual that disqualifies
-_ROOT_DISCARD = 1e-8          # residual silently dropped (still reported)
 _MEMBERSHIP_MARGIN = 1e-9     # strict margin for |f(1)| < ||f||_D
 
 
@@ -194,9 +193,6 @@ def factor_out_root(g: Polynomial, zeta: complex) -> tuple[Polynomial, float]:
     residual = abs(acc)
     if residual > _ROOT_TOL:
         raise NotARoot(f"residual |g({zeta})| = {residual:.3e} exceeds {_ROOT_TOL}")
-    if residual > _ROOT_DISCARD:
-        # Kept out of the quotient either way; the caller sees the size.
-        pass
     return Polynomial(-h), residual
 
 

@@ -244,8 +244,13 @@ def gaussian_kernel(t: float, x, ambient_dim: Optional[int] = None) -> np.ndarra
     return (4.0 * math.pi * t) ** (-ambient_dim / 2.0) * np.exp(-sq / (4.0 * t))
 
 
-def _periodized_kernel(spec: KernelSpec, t: float) -> np.ndarray:
-    """Unit-mass periodization of k_t on the grid, flat."""
+def _periodized_factor(spec: KernelSpec, t: float) -> np.ndarray:
+    """Periodized 1-d factor of k_t, before mass normalization.
+
+    The product structure of the Gaussian keeps the N-d periodization a
+    tensor product of these.  Raises ``PeriodizationError`` when k_t
+    leaves more than the tolerance of its mass outside one cell.
+    """
     N = spec.ambient_dim
     L = spec.period
     coverage = math.erf(L / (4.0 * math.sqrt(t))) ** N
@@ -253,15 +258,16 @@ def _periodized_kernel(spec: KernelSpec, t: float) -> np.ndarray:
         raise PeriodizationError(
             f"kernel mass outside the cell: 1 - erf(L/(4 sqrt(t)))^N = "
             f"{1.0 - coverage:.3e} at t = {t}, period = {L}")
-    ax = spec.axis()
-    images = np.arange(-3, 4) * L
-    one_d = np.zeros((len(images), spec.points))
-    for k, shift in enumerate(images):
-        one_d[k] = ax + shift
-    # Periodized 1-d factor; the product structure of the Gaussian keeps
-    # the N-d periodization a tensor product of these.
-    factor = np.sum(np.exp(-one_d ** 2 / (4.0 * t)), axis=0)
+    images = spec.axis()[None, :] + (np.arange(-3, 4) * L)[:, None]
+    factor = np.sum(np.exp(-images ** 2 / (4.0 * t)), axis=0)
     factor /= (4.0 * math.pi * t) ** 0.5
+    return factor
+
+
+def _periodized_kernel(spec: KernelSpec, t: float) -> np.ndarray:
+    """Unit-mass periodization of k_t on the grid, flat."""
+    N = spec.ambient_dim
+    factor = _periodized_factor(spec, t)
     kern = factor
     for _ in range(N - 1):
         kern = np.multiply.outer(kern, factor)
@@ -276,19 +282,8 @@ def kernel_mass_defect(spec: KernelSpec, t: float) -> float:
     ``gaussian_apply`` renormalizes this defect away; it is reported so
     grids too coarse for the kernel scale are visible.
     """
-    N = spec.ambient_dim
-    L = spec.period
-    coverage = math.erf(L / (4.0 * math.sqrt(t))) ** N
-    if 1.0 - coverage > _PERIODIZATION_TOL:
-        raise PeriodizationError(
-            f"kernel mass outside the cell: 1 - erf(L/(4 sqrt(t)))^N = "
-            f"{1.0 - coverage:.3e} at t = {t}, period = {L}")
-    ax = spec.axis()
-    images = ax[None, :] + (np.arange(-3, 4) * L)[:, None]
-    factor = np.sum(np.exp(-images ** 2 / (4.0 * t)), axis=0)
-    factor /= (4.0 * math.pi * t) ** 0.5
-    mass_1d = float(np.sum(factor)) * spec.h
-    return mass_1d ** N - 1.0
+    mass_1d = float(np.sum(_periodized_factor(spec, t))) * spec.h
+    return mass_1d ** spec.ambient_dim - 1.0
 
 
 def gaussian_apply(spec: KernelSpec, t: float, f) -> np.ndarray:

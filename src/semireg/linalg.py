@@ -111,10 +111,10 @@ class OpNormResult:
 
 
 def _dual_sign(y: np.ndarray) -> np.ndarray:
-    a = np.abs(y)
-    out = np.zeros_like(y)
-    nz = a > 0.0
-    out[nz] = y[nz] / a[nz]
+    # exp(i arg y) rather than y / |y|: complex division by a subnormal
+    # modulus overflows.
+    out = np.exp(1j * np.angle(y))
+    out[y == 0.0] = 0.0
     return out
 
 
@@ -233,7 +233,8 @@ def resolvent(A, lam: complex) -> np.ndarray:
     if not np.isfinite(cond) or cond > _COND_CAP:
         raise SpectrumHit(f"resolvent at lam={lam}: condition estimate {cond:.3e} exceeds cap")
     R = M @ X - ident
-    if float(np.linalg.norm(R, 2)) > 1e-12:
+    # The Frobenius norm bounds the 2-norm from above without an SVD.
+    if float(np.linalg.norm(R, "fro")) > 1e-12:
         X = X + np.linalg.solve(M, -R)
     return X
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .discpoly import BoundCheck, Polynomial, disc_norm, eval_matrix
 from .errors import (BadParams, ContourTooClose, EnumerationTooLarge,
                      ParameterOutOfRange)
 from .linalg import ContourSpec, contour_integral, mat_exp, op_norm, resolvent
-from .semigroup import GeneratorSpec, _check_grid, _smallest_decade_max
+from .semigroup import GeneratorSpec, _check_grid
 from .spaces import GridSpace
 
 __all__ = [
@@ -111,16 +111,10 @@ def rademacher_norm(vectors, space: GridSpace,
     standard error over 32 batches.
     """
     X = _stack_vectors(vectors, space.dim)
-    n = X.shape[0]
+    signs = _selection_signs(X.shape[0], cfg, cfg.seed)
     if cfg.mode == "exact":
-        if n > cfg.exact_cap:
-            raise EnumerationTooLarge(
-                f"{n} vectors exceed the exact enumeration cap {cfg.exact_cap}")
-        return RadNorm(_rad_from_signs(X, space, cfg.p, _all_signs(n)))
-    rng = np.random.default_rng(cfg.seed)
-    signs = rng.integers(0, 2, size=(cfg.mc_samples, n)).astype(float) * 2.0 - 1.0
-    sums = signs @ X
-    norms = space.norm_rows(sums) ** cfg.p
+        return RadNorm(_rad_from_signs(X, space, cfg.p, signs))
+    norms = space.norm_rows(signs @ X) ** cfg.p
     value = float(np.mean(norms) ** (1.0 / cfg.p))
     batches = np.array_split(norms, _MC_BATCHES)
     ests = np.array([np.mean(b) ** (1.0 / cfg.p) for b in batches])

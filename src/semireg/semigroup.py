@@ -17,7 +17,8 @@ import numpy as np
 
 from .discpoly import Polynomial, disc_norm, eval_matrix, in_C1, power_expand
 from .errors import BadParams, PhaseMismatch, QuadratureDivergence
-from .linalg import mat_exp, op_norm, quad_strong_integral, resolvent
+from .linalg import (_GL_NODES, _GL_WEIGHTS, mat_exp, op_norm,
+                     quad_strong_integral, resolvent)
 from .spaces import GridSpace
 
 __all__ = [
@@ -131,14 +132,22 @@ def beurling_profile(gen: GeneratorSpec, f: Polynomial, t_grid,
     The empirical limsup is the maximum over the smallest sampled
     decade; the margin is disc norm minus that value.
     """
-    t = _check_grid(t_grid)
+    return _profile(gen, f, 0.0, _check_grid(t_grid), space, seed,
+                    disc_norm(f).value)
+
+
+def _profile(gen: GeneratorSpec, g: Polynomial, K: float, t: np.ndarray,
+             space: GridSpace, seed: int, disc: float) -> BeurlingProfile:
+    """||g(T(t)) T(K t)|| on the checked grid t, against the bound disc."""
     values = np.empty(t.size)
     estimate = False
     for i, ti in enumerate(t):
-        r = op_norm(eval_matrix(f, gen.semigroup(float(ti))), space, seed=seed)
+        mat = eval_matrix(g, gen.semigroup(float(ti)))
+        if K > 0.0:
+            mat = mat @ gen.semigroup(float(K * ti))
+        r = op_norm(mat, space, seed=seed)
         values[i] = r.value
         estimate = estimate or r.estimate
-    disc = disc_norm(f).value
     limsup = _smallest_decade_max(t, values)
     return BeurlingProfile(t, values, disc, limsup, disc - limsup, estimate)
 
@@ -271,22 +280,8 @@ def converse_profile(gen: GeneratorSpec, f: Polynomial, N: int, K: float,
     if K < 0.0:
         raise BadParams(f"K must be nonnegative, got {K}")
     t = _check_grid(t_grid)
-    fN = power_expand(f, int(N))
-    values = np.empty(t.size)
-    estimate = False
-    for i, ti in enumerate(t):
-        mat = eval_matrix(fN, gen.semigroup(float(ti)))
-        if K > 0.0:
-            mat = mat @ gen.semigroup(float(K * ti))
-        r = op_norm(mat, space, seed=seed)
-        values[i] = r.value
-        estimate = estimate or r.estimate
-    disc = disc_norm(f).value ** int(N)
-    limsup = _smallest_decade_max(t, values)
-    return BeurlingProfile(t, values, disc, limsup, disc - limsup, estimate)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+    return _profile(gen, power_expand(f, int(N)), K, t, space, seed,
+                    disc_norm(f).value ** int(N))
 
 
 def _march(gen: GeneratorSpec, forcing: Callable[[float], np.ndarray],
@@ -377,6 +372,15 @@ def check_growth(gen: GeneratorSpec, samples: int = 64, tol: float = 1e-6,
     return True
 
 
+def _inverse_dim_limit(d: np.ndarray, v: np.ndarray) -> float:
+    """The constant a of the least-squares fit v ~ a + b/d (v itself for one d)."""
+    if d.size < 2:
+        return float(v[0])
+    X = np.stack([np.ones_like(d), 1.0 / d], axis=1)
+    coef, *_ = np.linalg.lstsq(X, v, rcond=None)
+    return float(coef[0])
+
+
 def dichotomy_fit(dims: Sequence[int], plateaus: Sequence[float],
                   disc_value: float,
                   margin: float = _DICHOTOMY_MARGIN) -> dict:
@@ -390,12 +394,7 @@ def dichotomy_fit(dims: Sequence[int], plateaus: Sequence[float],
     v = np.asarray(plateaus, dtype=float)
     if d.size != v.size or d.size < 1:
         raise BadParams("dims and plateaus must be equal-length, nonempty")
-    if d.size >= 2:
-        X = np.stack([np.ones_like(d), 1.0 / d], axis=1)
-        coef, *_ = np.linalg.lstsq(X, v, rcond=None)
-        extrapolated = float(coef[0])
-    else:
-        extrapolated = float(v[0])
+    extrapolated = _inverse_dim_limit(d, v)
     largest = float(v[np.argmax(d)])
     verdict = ("fails_in_limit" if largest > disc_value - margin
                else "holds_at_truncations")

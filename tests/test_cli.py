@@ -6,13 +6,14 @@ exit-code contract (0 done, 2 invalid input, 3 numerical failure) without
 spawning subprocesses.
 """
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from semireg import zoo
-from semireg.cli import main, read_matrix_file, write_matrix_file
+from semireg import cli, zoo
+from semireg.cli import build_parser, main, read_matrix_file, write_matrix_file
 from semireg.errors import BadParams
 
 BEURLING_SMALL = ["beurling", "--zoo", "diag_ray", "--dim", "8",
@@ -187,6 +188,23 @@ def test_zoo_build_writes_matrix(tmp_path, capsys):
     assert np.array_equal(M, zoo.build("jordan", 8).matrix)
 
 
+def test_zoo_build_forwards_param(tmp_path):
+    out = tmp_path / "jordan.mat"
+    assert main(["zoo", "build", "--zoo", "jordan", "--dim", "8",
+                 "--param", "lam=-2", "--out", str(out)]) == 0
+    M = read_matrix_file(str(out))
+    assert np.array_equal(M, zoo.build("jordan", 8, {"lam": -2}).matrix)
+
+
+def test_zero_two_forwards_param(tmp_path):
+    argv = ["zero-two", "--zoo", "tridiag_laplacian", "--dims", "[8,16]"]
+    plain = run_json(argv, tmp_path, "a.json")
+    scaled = run_json(argv + ["--param", "h=0.01"], tmp_path, "b.json")
+    assert "param" not in plain["config"]
+    assert scaled["config"]["param"] == {"h": 0.01}
+    assert scaled["results"]["plateaus"] != plain["results"]["plateaus"]
+
+
 def test_zoo_build_needs_name_and_out(tmp_path):
     assert main(["zoo", "build", "--dim", "8",
                  "--out", str(tmp_path / "m.mat")]) == 2
@@ -239,6 +257,25 @@ def test_config_file_fills_defaults_flags_win(tmp_path):
     assert rep["results"]["t"][0] == 2.0
 
 
+def test_config_file_accepts_flag_spelling(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"zoo": "diag_ray", "dim": 8, "t-max": 2.0, "decades": 2.0,
+         "points-per-decade": 4}))
+    rep = run_json(["beurling", "--config", str(cfg)], tmp_path)
+    assert rep["config"]["t_max"] == 2.0
+    assert rep["config"]["points_per_decade"] == 4
+    assert rep["results"]["t"][0] == 2.0
+    assert len(rep["results"]["t"]) == 9
+
+
+def test_config_value_failing_its_cast_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"zoo": "diag_ray", "dim": "eight"}))
+    assert main(["beurling", "--config", str(cfg)]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_config_file_must_be_object(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2, 3]")
@@ -269,8 +306,14 @@ def test_param_flag_requires_key_value(tmp_path):
     ["rbound", "--zoo", "diag_ray", "--dim", "8",
      "--mode", "exact", "--exact-cap", "0"],
     ["sector", "--zoo", "diag_ray", "--dim", "8", "--zeta", "[0.5,0]"],
+    ["beurling", "--zoo", "diag_ray", "--dim", "eight"],
+    ["rbound", "--zoo", "diag_ray", "--dim", "8", "--mode", "quasi"],
+    ["zero-two", "--zoo", "skew_diag", "--dims", "8"],
+    ["sector", "--zoo", "diag_ray", "--dim", "8", "--zeta", "[1,2,3]"],
+    ["zoo", "frobnicate"],
 ], ids=["no-zoo", "empty-poly", "unknown-zoo", "no-generator",
-        "bad-exact-cap", "zeta-inside-disc"])
+        "bad-exact-cap", "zeta-inside-disc", "dim-not-int", "bad-mode",
+        "dims-not-list", "zeta-not-pair", "bad-zoo-action"])
 def test_invalid_input_exits_two(argv, capsys):
     assert main(argv) == 2
     assert "invalid input" in capsys.readouterr().err
@@ -290,6 +333,54 @@ def test_series_divergence_exits_three(tmp_path, capsys):
                "--omega", "6.0", "--n-max", "2", "--t", "1.0"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gaussian", "--zoo", "jordan"],
+    ["interpolate", "--zoo", "heat_conv", "--dim", "8", "--poly", "[1]"],
+    ["cosine", "--zoo", "diag_ray", "--dim", "8", "--poly", "[1]"],
+    ["zoo", "build", "--zoo", "jordan", "--dim", "8", "--weights", "w.txt"],
+], ids=["gaussian-zoo", "interpolate-poly", "cosine-poly", "zoo-weights"])
+def test_unread_flags_rejected(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+
+
+def _accepted_flags(name):
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[name]._actions if a.dest != "help"}
+
+
+# Runs that reach the keys the smoke runs leave unread.
+BRANCH_ARGVS = {
+    "interpolate": [["interpolate", "--zoo", "heat_conv", "--dim", "8",
+                     "--p1", "2", "--p2", "inf", "--p-target", "4",
+                     "--trials", "10", "--decades", "2",
+                     "--points-per-decade", "4"]],
+    "zero-two": [["zero-two", "--zoo", "tridiag_laplacian", "--dims", "[8,16]",
+                  "--param", "h=0.5"]],
+    "zoo": [["zoo", "build", "--zoo", "jordan", "--dim", "8",
+             "--param", "lam=-2"]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_ARGVS))
+def test_subparser_flags_are_the_keys_read(name, tmp_path, monkeypatch):
+    resolvers = []
+
+    class Recording(cli.Resolver):
+        def __init__(self, ns):
+            super().__init__(ns)
+            resolvers.append(self)
+
+    monkeypatch.setattr(cli, "Resolver", Recording)
+    for i, argv in enumerate([SMOKE_ARGVS[name]] + BRANCH_ARGVS.get(name, [])):
+        assert main(argv + ["--out", str(tmp_path / f"{i}.out")]) == 0
+    read = set().union(*(r.echo for r in resolvers))
+    assert _accepted_flags(name) == read | {"config"}
 
 
 def test_unknown_command_rejected():

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from semireg import zoo
 from semireg.discpoly import Polynomial, eval_matrix, normalize_peak, power_expand
 from semireg.errors import (
     BadParams,
@@ -233,6 +234,19 @@ def test_rbound_monte_carlo_singleton_is_exact():
     assert mc.value == pytest.approx(exact.value, abs=1e-9)
     assert mc.converged
     assert mc.se <= 1e-12
+
+
+@pytest.mark.parametrize("budget", [0, 2])
+def test_rbound_singleton_with_subnormal_entries(budget):
+    # exp(0.3 A) of the 256-point Laplacian has rows whose far entries are
+    # subnormal; the p = inf maximizer is their sign vector, which must
+    # stay finite so the singleton certifies the operator norm.
+    E = mat_exp(zoo.build("tridiag_laplacian", 256).matrix, 0.3)
+    sp = unit(256, math.inf)
+    norm = op_norm(E, sp)
+    assert np.all(np.isfinite(norm.maximizer))
+    est = rbound_estimate([E], sp, EXACT2, budget=budget, ascent=False)
+    assert est.value >= norm.value - 1e-12
 
 
 def test_rbound_validation():
