@@ -111,48 +111,63 @@ class OpNormResult:
 
 
 def _dual_sign(y: np.ndarray) -> np.ndarray:
-    # exp(i arg y) rather than y / |y|: complex division by a subnormal
-    # modulus overflows.
-    out = np.exp(1j * np.angle(y))
-    out[y == 0.0] = 0.0
+    # Real divisions by |y|: complex division by a subnormal modulus
+    # overflows (it forms 1/|y|).
+    a = np.abs(y)
+    a[a == 0.0] = 1.0
+    out = np.empty_like(y)
+    out.real = y.real / a
+    out.imag = y.imag / a
     return out
 
 
-def _lp(x: np.ndarray, p: float) -> float:
-    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+def _lp(x: np.ndarray, p: float) -> np.ndarray:
+    """p-norms of the columns of x (a scalar for a vector)."""
+    return np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p)
 
 
-def _pnorm_lower(B: np.ndarray, p: float, x0: np.ndarray,
+def _pnorm_lower(B: np.ndarray, p: float, X0: np.ndarray,
                  iters: int = _POWER_ITERS) -> tuple[float, np.ndarray]:
     """Nonlinear power iteration on the unweighted p-norm of B.
 
-    Alternates between the primal map x -> Bx and the duality map of
-    the gradient; every iterate certifies ||Bx||_p / ||x||_p, so the
-    running best is a true lower bound.
+    Each column of X0 is one start; the starts iterate together as one
+    matrix, and a start leaves the batch once it converges.  Alternates
+    between the primal map x -> Bx and the duality map of the gradient;
+    every iterate certifies ||Bx||_p / ||x||_p, so the running best is a
+    true lower bound.  Returns the best value over all starts (the first
+    start on ties) and its iterate.
     """
     q = p / (p - 1.0)
-    x = x0 / _lp(x0, p)
-    best, best_x = 0.0, x
-    prev = -1.0
+    BH = B.conj().T
+    X = X0 / _lp(X0, p)
+    m = X.shape[1]
+    best, best_x = np.zeros(m), X.copy()
+    prev = np.full(m, -1.0)
+    active = np.arange(m)
     for _ in range(iters):
-        y = B @ x
-        g = _lp(y, p)
-        if g > best:
-            best, best_x = g, x
-        if prev >= 0.0 and abs(g - prev) <= 1e-14 * max(g, 1.0):
+        Xa = X[:, active]
+        Y = B @ Xa
+        g = _lp(Y, p)
+        up = g > best[active]
+        best[active[up]] = g[up]
+        best_x[:, active[up]] = Xa[:, up]
+        pa = prev[active]
+        done = (pa >= 0.0) & (np.abs(g - pa) <= 1e-14 * np.maximum(g, 1.0))
+        prev[active] = g
+        Z = BH @ (np.abs(Y) ** (p - 1.0) * _dual_sign(Y))
+        zmax = np.max(np.abs(Z), axis=0)
+        done |= zmax == 0.0
+        Z = Z / np.where(zmax == 0.0, 1.0, zmax)
+        Xn = np.abs(Z) ** (q - 1.0) * _dual_sign(Z)
+        nx = _lp(Xn, p)
+        done |= nx == 0.0
+        keep = ~done
+        X[:, active[keep]] = Xn[:, keep] / nx[keep]
+        active = active[keep]
+        if active.size == 0:
             break
-        prev = g
-        z = B.conj().T @ (np.abs(y) ** (p - 1.0) * _dual_sign(y))
-        zmax = float(np.max(np.abs(z)))
-        if zmax == 0.0:
-            break
-        z = z / zmax
-        x = np.abs(z) ** (q - 1.0) * _dual_sign(z)
-        nx = _lp(x, p)
-        if nx == 0.0:
-            break
-        x = x / nx
-    return best, best_x
+    k = int(np.argmax(best))
+    return float(best[k]), best_x[:, k]
 
 
 def op_norm(A, space: GridSpace, seed: int = 0) -> OpNormResult:
@@ -205,11 +220,7 @@ def op_norm(A, space: GridSpace, seed: int = 0) -> OpNormResult:
     rng = np.random.default_rng(seed)
     for _ in range(_POWER_RESTARTS):
         starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    best, best_x = 0.0, starts[0]
-    for x0 in starts:
-        val, x = _pnorm_lower(B, p, x0)
-        if val > best:
-            best, best_x = val, x
+    best, best_x = _pnorm_lower(B, p, np.stack(starts, axis=1))
     return OpNormResult(best, True, best_x / scale)
 
 
