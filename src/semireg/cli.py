@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -725,7 +726,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "bounds, cosine families, interpolation and kernel checks.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, keys) in COMMANDS.items():
-        sp = sub.add_parser(name)
+        # No prefixes: a flag the command does not read must not be taken
+        # for one it does (``--t`` for ``--t-max``, ``--dim`` for ``--dims``).
+        sp = sub.add_parser(name, allow_abbrev=False)
         for key in _COMMON + keys:
             help_ = _FLAGS[key][1]
             if key == "action":         # zoo's optional positional
@@ -736,9 +739,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building costs far more than
+    parsing, and parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         r = Resolver(ns)

@@ -49,6 +49,7 @@ _MC_BATCHES = 32
 _SE_REL_CAP = 0.02           # SE/value above this flags non-convergence
 _ASCENT_STEPS = 100
 _FD_STEP = 1e-6              # relative finite-difference step
+_CHUNK_ELEMS = 1 << 14       # sign-sum entries per batched ratio chunk
 _BT_RESIDUAL_TOL = 1e-4
 _BT_MIN_POLE_DIST = 1e-3
 
@@ -95,11 +96,9 @@ def _all_signs(n: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n)[None, :]) & 1).astype(float) * 2.0 - 1.0
 
 
-def _rad_from_signs(X: np.ndarray, space: GridSpace, p: float,
-                    signs: np.ndarray) -> float:
-    sums = signs @ X
-    norms = space.norm_rows(sums)
-    return float(np.mean(norms ** p) ** (1.0 / p))
+def _rad_rows(sums: np.ndarray, space: GridSpace, p: float) -> np.ndarray:
+    """Rademacher p-averages from sign sums of shape (..., patterns, dim)."""
+    return np.mean(space.norm_rows(sums) ** p, axis=-1) ** (1.0 / p)
 
 
 def rademacher_norm(vectors, space: GridSpace,
@@ -113,7 +112,7 @@ def rademacher_norm(vectors, space: GridSpace,
     X = _stack_vectors(vectors, space.dim)
     signs = _selection_signs(X.shape[0], cfg, cfg.seed)
     if cfg.mode == "exact":
-        return RadNorm(_rad_from_signs(X, space, cfg.p, signs))
+        return RadNorm(float(_rad_rows(signs @ X, space, cfg.p)))
     norms = space.norm_rows(signs @ X) ** cfg.p
     value = float(np.mean(norms) ** (1.0 / cfg.p))
     batches = np.array_split(norms, _MC_BATCHES)
@@ -152,13 +151,27 @@ class RBoundEstimate:
     se: float = 0.0
 
 
+def _ratios(ops: Sequence[np.ndarray], idx, Xs: np.ndarray, space: GridSpace,
+            p: float, signs: np.ndarray) -> np.ndarray:
+    """Rademacher ratios rad(T_{idx_k} x_k) / rad(x_k) of a (B, n, dim) stack
+    of vector tuples, one selection and sign table for all; 0 where the
+    denominator vanishes.  The B denominators and B numerators are averaged
+    in chunks whose sign sums hold at most ``_CHUNK_ELEMS`` entries."""
+    T = np.stack([ops[j] for j in idx])
+    Y = np.concatenate([Xs, np.matmul(T, Xs[..., None])[..., 0]], dtype=complex)
+    step = max(1, _CHUNK_ELEMS // (signs.shape[0] * space.dim))
+    # Real signs act on real and imaginary parts alike: one real product.
+    rad = np.concatenate([
+        _rad_rows((signs @ Y[lo:lo + step].view(float)).view(complex), space, p)
+        for lo in range(0, Y.shape[0], step)])
+    den, num = rad[:Xs.shape[0]], rad[Xs.shape[0]:]
+    zero = den == 0.0
+    return np.where(zero, 0.0, num / np.where(zero, 1.0, den))
+
+
 def _ratio(ops: Sequence[np.ndarray], idx, X: np.ndarray, space: GridSpace,
            cfg: RademacherConfig, signs: np.ndarray) -> float:
-    TX = np.stack([ops[j] @ X[k] for k, j in enumerate(idx)])
-    denom = _rad_from_signs(X, space, cfg.p, signs)
-    if denom == 0.0:
-        return 0.0
-    return _rad_from_signs(TX, space, cfg.p, signs) / denom
+    return float(_ratios(ops, idx, X[None], space, cfg.p, signs)[0])
 
 
 def _selection_signs(n: int, cfg: RademacherConfig, seed: int) -> np.ndarray:
@@ -182,22 +195,25 @@ def _ascend(ops, idx, X0, space, cfg, signs,
     best_X = X.copy()
     theta = np.concatenate([X.real.ravel(), X.imag.ravel()])
     m = theta.size
+    half = m // 2
 
     def unpack(th):
-        half = m // 2
         return (th[:half] + 1j * th[half:]).reshape(X.shape)
 
     def f(th):
         return _ratio(ops, idx, unpack(th), space, cfg, signs)
 
+    rows = np.arange(m)
     val = best
     for step in range(steps):
-        grad = np.zeros(m)
-        for i in range(m):
-            h = _FD_STEP * max(1.0, abs(theta[i]))
-            bumped = theta.copy()
-            bumped[i] += h
-            grad[i] = (f(bumped) - val) / h
+        h = _FD_STEP * np.maximum(1.0, np.abs(theta))
+        # Row i bumps real coordinate i of theta: a real part for i < m/2,
+        # an imaginary part above.
+        Xs = np.tile(unpack(theta).ravel(), (m, 1))
+        Xs[rows[:half], rows[:half]] += h[:half]
+        Xs[rows[half:], rows[:half]] += 1j * h[half:]
+        grad = (_ratios(ops, idx, Xs.reshape((m,) + X.shape), space, cfg.p,
+                        signs) - val) / h
         gn = float(np.linalg.norm(grad))
         if gn == 0.0:
             break
@@ -233,10 +249,10 @@ def rbound_estimate(family: Sequence[np.ndarray], space: GridSpace,
     trials = 0
     best_val, best_idx, best_X = -1.0, (0,), None
 
+    signs = _selection_signs(1, cfg, cfg.seed)
     for j, T in enumerate(ops):
         r = op_norm(T, space, seed=cfg.seed)
         x = r.maximizer[None, :]
-        signs = _selection_signs(1, cfg, cfg.seed)
         val = _ratio(ops, (j,), x, space, cfg, signs)
         trials += 1
         if val > best_val:

@@ -196,6 +196,17 @@ def test_zoo_build_forwards_param(tmp_path):
     assert np.array_equal(M, zoo.build("jordan", 8, {"lam": -2}).matrix)
 
 
+def test_reused_parser_keeps_no_param(tmp_path):
+    # main parses with one parser per process; an appended --param must
+    # not reach the next call.
+    assert main(["zoo", "build", "--zoo", "jordan", "--dim", "8",
+                 "--param", "lam=-2", "--out", str(tmp_path / "a.mat")]) == 0
+    assert main(["zoo", "build", "--zoo", "jordan", "--dim", "8",
+                 "--out", str(tmp_path / "b.mat")]) == 0
+    M = read_matrix_file(str(tmp_path / "b.mat"))
+    assert np.array_equal(M, zoo.build("jordan", 8).matrix)
+
+
 def test_zero_two_forwards_param(tmp_path):
     argv = ["zero-two", "--zoo", "tridiag_laplacian", "--dims", "[8,16]"]
     plain = run_json(argv, tmp_path, "a.json")
@@ -340,7 +351,12 @@ def test_series_divergence_exits_three(tmp_path, capsys):
     ["interpolate", "--zoo", "heat_conv", "--dim", "8", "--poly", "[1]"],
     ["cosine", "--zoo", "diag_ray", "--dim", "8", "--poly", "[1]"],
     ["zoo", "build", "--zoo", "jordan", "--dim", "8", "--weights", "w.txt"],
-], ids=["gaussian-zoo", "interpolate-poly", "cosine-poly", "zoo-weights"])
+    # Prefixes of flags the command does read.
+    ["cosine", "--zoo", "tridiag_laplacian", "--dim", "8", "--pairs", "2",
+     "--t", "0.5"],
+    ["zero-two", "--zoo", "skew_diag", "--dim", "16"],
+], ids=["gaussian-zoo", "interpolate-poly", "cosine-poly", "zoo-weights",
+        "cosine-t-prefix", "zero-two-dim-prefix"])
 def test_unread_flags_rejected(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)

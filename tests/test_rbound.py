@@ -4,11 +4,12 @@ contour representation of the semigroup resolvent, and the closed-form
 converse bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from semireg import zoo
+from semireg import rbound, zoo
 from semireg.discpoly import Polynomial, eval_matrix, normalize_peak, power_expand
 from semireg.errors import (
     BadParams,
@@ -254,6 +255,86 @@ def test_rbound_validation():
         rbound_estimate([], unit(3), EXACT2)
     with pytest.raises(BadParams):
         rbound_estimate([np.eye(2)], unit(3), EXACT2)
+
+
+# ---------------------------------------------------------------------------
+# batched ratios and the finite-difference ascent
+
+
+def loop_ratio(ops, idx, X, weights, p, rad_p, signs):
+    """rad(T_{idx_k} x_k) / rad(x_k) one sign pattern at a time."""
+    def rad(V):
+        norms = []
+        for s in signs:
+            a = np.abs(s @ V)
+            norms.append(np.max(a) if math.isinf(p)
+                         else np.sum(weights * a ** p) ** (1.0 / p))
+        return np.mean(np.array(norms) ** rad_p) ** (1.0 / rad_p)
+
+    den = rad(X)
+    if den == 0.0:
+        return 0.0
+    return rad(np.stack([ops[j] @ X[k] for k, j in enumerate(idx)])) / den
+
+
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_ratios_match_loop_reference(p, mode):
+    rng = np.random.default_rng(20)
+    dim, idx = 6, (2, 0, 2)
+    space = GridSpace(dim, np.linspace(0.5, 2.0, dim), p)
+    cfg = RademacherConfig(p=3.0, mode=mode, mc_samples=256)
+    signs = rbound._selection_signs(len(idx), cfg, 5)
+    ops = [rand_vecs(rng, dim, dim) for _ in range(3)]
+    # Enough tuples that numerators and denominators span several chunks.
+    B = rbound._CHUNK_ELEMS // (len(signs) * dim) + 3
+    Xs = rng.standard_normal((B, len(idx), dim)) * np.exp(
+        1j * rng.uniform(0.0, 2.0 * math.pi, (B, len(idx), dim)))
+    Xs[1] = 0.0
+    got = rbound._ratios(ops, idx, Xs, space, cfg.p, signs)
+    ref = [loop_ratio(ops, idx, X, space.weights, p, cfg.p, signs) for X in Xs]
+    assert got[1] == 0.0
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def test_ascent_memory_stays_chunked():
+    # Monte Carlo sign sums of all 2 n dim bumps at once would take
+    # 256 x 4096 x 16 complex entries (256 MB) per step.
+    rng = np.random.default_rng(21)
+    dim, idx = 16, (0, 1, 1, 0, 1, 0, 0, 1)
+    gen = decay(dim)
+    ops = [gen.semigroup(0.1), gen.semigroup(1.0)]
+    cfg = RademacherConfig(p=2.0, mode="monte_carlo", mc_samples=4096)
+    signs = rbound._selection_signs(len(idx), cfg, 3)
+    X0 = rand_vecs(rng, len(idx), dim)
+    tracemalloc.start()
+    try:
+        rbound._ascend(ops, idx, X0, unit(dim), cfg, signs, steps=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("p", [1.0, 4.0])
+def test_ascent_value_is_certified_by_its_witness(p):
+    rng = np.random.default_rng(22)
+    dim, idx = 5, (1, 0, 1)
+    space = GridSpace(dim, np.linspace(1.0, 2.0, dim), p)
+    cfg = RademacherConfig(p=2.0, mode="exact")
+    ops = [rand_vecs(rng, dim, dim) for _ in range(2)]
+    signs = rbound._selection_signs(len(idx), cfg, 0)
+    # Entries of modulus at most one: the ascent starts from X0 unscaled.
+    X0 = rand_vecs(rng, len(idx), dim) / 8.0
+    assert np.max(np.abs(X0)) <= 1.0
+    start = rbound._ratio(ops, idx, X0, space, cfg, signs)
+    value, X = rbound._ascend(ops, idx, X0, space, cfg, signs, steps=20)
+    assert value == pytest.approx(
+        rbound._ratio(ops, idx, X, space, cfg, signs), rel=1e-12)
+    assert value >= start
+    budget = 5
+    est = rbound_estimate(ops, space, cfg, budget=budget)
+    assert est.trials == len(ops) + budget + 1
 
 
 # ---------------------------------------------------------------------------
