@@ -37,31 +37,32 @@ from .rbound import RademacherConfig, r_beurling_profile, rbound_estimate
 from .semigroup import (GeneratorSpec, beurling_profile, converse_profile,
                         log_time_grid, mild_solution, sector_report)
 from .spaces import GridSpace
-from . import zoo
+from . import cosine, interp, linalg, rbound, semigroup, zoo
 
 __all__ = ["main", "read_matrix_file", "write_matrix_file"]
 
-# Default tolerances, echoed into every report so it is self-contained.
+# Default tolerances, echoed into every report so it is self-contained;
+# a value a module applies is read from that module.
 TOLERANCES = {
     "bernstein": 1e-7,
-    "bt_pole_distance": 1e-3,
-    "bt_residual": 1e-4,
+    "bt_pole_distance": rbound._BT_MIN_POLE_DIST,
+    "bt_residual": rbound._BT_RESIDUAL_TOL,
     "dalembert": 1e-8,
-    "fattorini_refine": 1e-6,
-    "fattorini_tail": 1e-4,
+    "fattorini_refine": cosine._FATTORINI_REFINE,
+    "fattorini_tail": cosine._FATTORINI_TAIL,
     "kato_identity": 1e-6,
     "laplace": 1e-6,
-    "mc_se_rel": 0.02,
-    "periodization": 1e-10,
-    "phase": 1e-10,
-    "quad_frobenius": 1e-8,
+    "mc_se_rel": rbound._SE_REL_CAP,
+    "periodization": interp._PERIODIZATION_TOL,
+    "phase": semigroup._PHASE_TOL,
+    "quad_frobenius": linalg._QUAD_TOL,
     "quad_pointwise": 1e-9,
     "refinement_stability": 0.10,
-    "resolvent_cond_cap": 1e12,
+    "resolvent_cond_cap": linalg._COND_CAP,
     "riesz_thorin": 1e-9,
     "sector_chain": 1e-6,
-    "zero_two_high": 1.95,
-    "zero_two_low": 0.05,
+    "zero_two_high": cosine._PLATEAU_HIGH,
+    "zero_two_low": cosine._PLATEAU_LOW,
 }
 
 _MARGIN_THRESHOLD = 0.05

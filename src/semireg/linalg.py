@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadParams, QuadratureDivergence, SpectrumHit
+from .errors import BadParams, NumericalError, QuadratureDivergence, SpectrumHit
 from .spaces import GridSpace
 
 __all__ = [
@@ -75,15 +75,27 @@ def mat_exp(A, t: float = 1.0) -> np.ndarray:
     """e^{tA} by order-13 Pade with power-of-two scaling from ||tA||_1.
 
     Diagonal matrices short-circuit to the entrywise exponential (the
-    same value, exact); dense matrices always take the Pade path.
+    same value, exact); dense matrices always take the Pade path.  A
+    result that overflows, or a dense tA that does, raises
+    ``NumericalError``.
     """
     A = _as_matrix(A)
-    if _is_diagonal(A):
-        return np.diag(np.exp(t * np.diag(A)))
-    M = t * A
+    # Overflow leaves non-finite entries, which are checked, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = (np.diag(np.exp(t * np.diag(A))) if _is_diagonal(A)
+             else _pade_exp(t * A))
+    if E is None or not np.all(np.isfinite(E)):
+        raise NumericalError(f"e^(tA) overflows at t = {t}")
+    return E
+
+
+def _pade_exp(M: np.ndarray) -> np.ndarray | None:
+    """e^M, or None when ||M||_1 overflows and no scaling applies."""
     n = M.shape[0]
     ident = np.eye(n, dtype=complex)
-    norm1 = float(np.max(np.sum(np.abs(M), axis=0))) if n else 0.0
+    norm1 = float(np.max(np.sum(np.abs(M), axis=0)))
+    if not math.isfinite(norm1):
+        return None
     s = max(0, int(math.ceil(math.log2(norm1 / _PADE13_THETA))) if norm1 > _PADE13_THETA else 0)
     M = M / (2.0 ** s)
     b = _PADE13

@@ -83,7 +83,7 @@ class RadNorm:
 
 
 def _stack_vectors(vectors, dim: int) -> np.ndarray:
-    X = np.asarray(vectors, dtype=complex)
+    X = np.ascontiguousarray(vectors, dtype=complex)
     if X.ndim == 1:
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != dim or X.shape[0] < 1:
@@ -94,6 +94,12 @@ def _stack_vectors(vectors, dim: int) -> np.ndarray:
 def _all_signs(n: int) -> np.ndarray:
     idx = np.arange(2 ** n, dtype=np.int64)
     return ((idx[:, None] >> np.arange(n)[None, :]) & 1).astype(float) * 2.0 - 1.0
+
+
+def _sign_sums(signs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_k eps_k x_k for each sign pattern, of shape (..., patterns, dim).
+    Real signs act on real and imaginary parts alike: one real product."""
+    return (signs @ X.view(float)).view(complex)
 
 
 def _rad_rows(sums: np.ndarray, space: GridSpace, p: float) -> np.ndarray:
@@ -111,9 +117,10 @@ def rademacher_norm(vectors, space: GridSpace,
     """
     X = _stack_vectors(vectors, space.dim)
     signs = _selection_signs(X.shape[0], cfg, cfg.seed)
+    sums = _sign_sums(signs, X)
     if cfg.mode == "exact":
-        return RadNorm(float(_rad_rows(signs @ X, space, cfg.p)))
-    norms = space.norm_rows(signs @ X) ** cfg.p
+        return RadNorm(float(_rad_rows(sums, space, cfg.p)))
+    norms = space.norm_rows(sums) ** cfg.p
     value = float(np.mean(norms) ** (1.0 / cfg.p))
     batches = np.array_split(norms, _MC_BATCHES)
     ests = np.array([np.mean(b) ** (1.0 / cfg.p) for b in batches])
@@ -160,10 +167,8 @@ def _ratios(ops: Sequence[np.ndarray], idx, Xs: np.ndarray, space: GridSpace,
     T = np.stack([ops[j] for j in idx])
     Y = np.concatenate([Xs, np.matmul(T, Xs[..., None])[..., 0]], dtype=complex)
     step = max(1, _CHUNK_ELEMS // (signs.shape[0] * space.dim))
-    # Real signs act on real and imaginary parts alike: one real product.
-    rad = np.concatenate([
-        _rad_rows((signs @ Y[lo:lo + step].view(float)).view(complex), space, p)
-        for lo in range(0, Y.shape[0], step)])
+    rad = np.concatenate([_rad_rows(_sign_sums(signs, Y[lo:lo + step]), space, p)
+                          for lo in range(0, Y.shape[0], step)])
     den, num = rad[:Xs.shape[0]], rad[Xs.shape[0]:]
     zero = den == 0.0
     return np.where(zero, 0.0, num / np.where(zero, 1.0, den))

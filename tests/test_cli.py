@@ -7,12 +7,14 @@ spawning subprocesses.
 """
 
 import argparse
+import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from semireg import cli, zoo
+from semireg import cli, cosine, interp, linalg, rbound, semigroup, zoo
 from semireg.cli import build_parser, main, read_matrix_file, write_matrix_file
 from semireg.errors import BadParams
 
@@ -337,6 +339,23 @@ def test_periodization_failure_exits_three(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["beurling", "--zoo", "jordan", "--dim", "16", "--param", "lam=50",
+     "--t-max", "100", "--decades", "2", "--points-per-decade", "1"],
+    ["sector", "--zoo", "jordan", "--dim", "16", "--param", "lam=50",
+     "--t0", "100"],
+    ["beurling", "--zoo", "jordan", "--dim", "8", "--t-max", "1e308",
+     "--decades", "2", "--points-per-decade", "1"],
+], ids=["beurling", "sector", "beurling-tA"])
+def test_exponential_overflow_exits_three(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not caught
+
+
 def test_series_divergence_exits_three(tmp_path, capsys):
     path = tmp_path / "one.mat"
     write_matrix_file(str(path), np.array([[1.0 + 0.0j]]))
@@ -427,3 +446,22 @@ def test_weights_file_matches_unit_space(tmp_path):
     weighted = run_json(BEURLING_SMALL + ["--weights", str(wpath)],
                         tmp_path, "b.json")
     assert weighted["results"] == base["results"]
+
+
+def test_tolerance_echo_is_the_value_applied():
+    series = inspect.signature(cosine.fattorini_series).parameters
+    applied = {
+        "bt_pole_distance": rbound._BT_MIN_POLE_DIST,
+        "bt_residual": rbound._BT_RESIDUAL_TOL,
+        "fattorini_refine": series["refine_tol"].default,
+        "fattorini_tail": series["tail_tol"].default,
+        "mc_se_rel": rbound._SE_REL_CAP,
+        "periodization": interp._PERIODIZATION_TOL,
+        "phase": semigroup._PHASE_TOL,
+        "quad_frobenius": linalg._QUAD_TOL,
+        "resolvent_cond_cap": linalg._COND_CAP,
+        "zero_two_high": cosine._PLATEAU_HIGH,
+        "zero_two_low": cosine._PLATEAU_LOW,
+    }
+    for key, value in applied.items():
+        assert cli.TOLERANCES[key] == value, key

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from semireg import zoo
 from semireg.cosine import (
     CosineFamily,
+    _convolve_level,
     cosine_from_generator,
     cosine_from_group,
     dalembert_residual,
@@ -346,6 +348,53 @@ def test_series_not_converged():
     fam = cosine_from_generator(np.diag([1.0 + 0.0j]))
     with pytest.raises(SeriesNotConverged):
         fattorini_series(fam, 6.0, 2, 1.0)
+
+
+def per_row_level(S, prev, h):
+    """Trapezoid rule for int_0^{s_i} S(s_i - s) prev(s) ds, row by row."""
+    out = np.zeros_like(prev)
+    for i in range(1, prev.shape[0]):
+        w = np.ones(i + 1)
+        w[0] = w[-1] = 0.5
+        out[i] = h * np.einsum("k,kab,kbc->ac", w, S[i::-1], prev[:i + 1])
+    return out
+
+
+def spectral_family(lams, seed):
+    # A = Q diag(lams) Q^H with a random unitary Q.
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rand_matrix(rng, len(lams)))
+    return cosine_from_generator(Q @ np.diag(lams) @ Q.conj().T, verify=False)
+
+
+@pytest.mark.parametrize("case", [
+    ("tridiag_laplacian", 8, 0.5, 128, 4),
+    ("tridiag_laplacian", 16, 0.4, 64, 4),
+    ("heat_conv", 16, 0.4, 64, 4),
+    ("diag_ray", 16, 0.4, 64, 4),
+    ("growing", 6, 1.0, 128, 6),
+    ("oscillating", 6, 1.0, 128, 6),
+], ids=lambda c: f"{c[0]}-{c[1]}")
+def test_convolve_level_matches_per_row_reference(case):
+    # The growing family reaches cosh(20) ~ 2.4e8: a transform over the
+    # time grid would carry an error of the largest term into every entry.
+    name, dim, t, m, levels = case
+    if name == "growing":
+        fam = spectral_family(np.linspace(0.0, 400.0, dim), 5)
+    elif name == "oscillating":
+        fam = spectral_family(np.linspace(-400.0, 0.0, dim), 6)
+    else:
+        fam = cosine_from_generator(zoo.build(name, dim).matrix, verify=False)
+    h = t / m
+    pts = [fam.sample(i * h) for i in range(m + 1)]
+    S = np.stack([pq[1] for pq in pts])
+    level = ref = np.stack([pq[0] for pq in pts])
+    for _ in range(levels):
+        level = _convolve_level(S, level, h)
+        ref = per_row_level(S, ref, h)
+        assert not np.any(level[0])
+        assert (np.linalg.norm(level[-1] - ref[-1], 2)
+                <= 1e-12 * np.linalg.norm(ref[-1], 2))
 
 
 def test_series_validation():

@@ -2,11 +2,12 @@
 resolvents and the two quadrature primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from semireg.errors import BadParams, SpectrumHit
+from semireg.errors import BadParams, NumericalError, SpectrumHit
 from semireg.linalg import (
     ContourSpec,
     contour_integral,
@@ -121,6 +122,18 @@ def test_mat_exp_rejects_bad_input():
         mat_exp(np.zeros((0, 0)), 1.0)
     with pytest.raises(BadParams):
         mat_exp(np.zeros((2, 3)), 1.0)
+
+
+@pytest.mark.parametrize("A", [
+    np.diag([1.0, 800.0]),
+    np.array([[50.0, 1.0], [0.0, 50.0]]),
+], ids=["diagonal", "jordan"])
+def test_mat_exp_overflow_is_numerical_failure(A):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError):
+            mat_exp(A, 100.0)
+    assert not caught
 
 
 # ---------------------------------------------------------------------------
