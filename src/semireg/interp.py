@@ -18,7 +18,7 @@ from .discpoly import BoundCheck, Polynomial, eval_matrix, normalize_peak, power
 from .errors import BadParams, DominationFailure, PeriodizationError
 from .linalg import op_norm
 from .rbound import square_function_norm
-from .semigroup import GeneratorSpec, _check_grid, _smallest_decade_max
+from .semigroup import GeneratorSpec, _check_grid, _smallest_decade
 from .spaces import GridSpace
 
 __all__ = [
@@ -127,7 +127,7 @@ class ExtrapolationReport:
     theta_first: float
     n_values: list
     chain_values: list
-    measured_sup: list              # sup over the grid of ||f^N(T(t))||_p
+    measured_sup: list              # max of ||f^N(T(t))||_p over rho's window
     ok_grid: list
     smallest_passing_n: Optional[int]
     status: str                     # "ok" or "chain_inapplicable"
@@ -140,12 +140,15 @@ def extrapolation_bench(gen: GeneratorSpec, f: Polynomial,
 
     With f peak-normalized, rho is the smallest-decade plateau of
     ||f(T(t))||_{p1} and M the sampled sup of ||T(t)||_{p2} on [0, 1];
-    Riesz-Thorin gives
+    Riesz-Thorin gives, at every t of that smallest decade,
 
         ||f^N(T(t))||_p <= (M (N deg f + 1))^{theta} rho^{(1-theta) N},
 
-    theta weighting p2.  rho >= 1 makes the chain useless; that is
-    reported as a status, not raised.
+    theta weighting p2.  The measured value compared with the chain is
+    therefore the largest ||f^N(T(t))||_p over the same window, the
+    smallest decade of the grid; at larger t the bound is no theorem.
+    rho >= 1 makes the chain useless; that is reported as a status, not
+    raised.
     """
     fn = normalize_peak(f)
     t = _check_grid(t_grid)
@@ -155,9 +158,9 @@ def extrapolation_bench(gen: GeneratorSpec, f: Polynomial,
     s2 = GridSpace(dim, w, triple.p2)
     sp = GridSpace(dim, w, triple.p)
 
-    semis = [gen.semigroup(float(ti)) for ti in t]
-    prof1 = np.array([op_norm(eval_matrix(fn, T), s1).value for T in semis])
-    rho = _smallest_decade_max(t, prof1)
+    # rho and the measured values share one window: the smallest decade.
+    semis = [gen.semigroup(float(ti)) for ti in t[_smallest_decade(t)]]
+    rho = max(op_norm(eval_matrix(fn, T), s1).value for T in semis)
     sup_t = np.concatenate([t[t <= 1.0], [1.0]])
     M = max(op_norm(gen.semigroup(float(ti)), s2).value for ti in sup_t)
 
@@ -169,8 +172,7 @@ def extrapolation_bench(gen: GeneratorSpec, f: Polynomial,
     for N in n_values:
         chain = (M * (N * deg + 1.0)) ** th * rho ** ((1.0 - th) * N)
         fN = power_expand(fn, N)
-        vals = [op_norm(eval_matrix(fN, T), sp).value for T in semis]
-        sup_val = float(max(vals))
+        sup_val = max(op_norm(eval_matrix(fN, T), sp).value for T in semis)
         chain_values.append(float(chain))
         measured.append(sup_val)
         ok_grid.append(bool(sup_val <= chain + 1e-6))

@@ -11,7 +11,9 @@ Conventions
 * Norm results carry an ``estimate`` flag: False means the value is
   exact up to rounding (p in {1, 2, inf}, or a diagonal matrix at any
   p); True means a certified lower bound from the nonlinear power
-  iteration.
+  iteration.  A maximizing vector is returned only when the caller asks
+  for it (``maximizer=True``); the value-only path takes the p = 2
+  norm from the singular values alone.
 * Quadrature results carry a ``converged`` flag; node-doubling that
   hits the node cap while still moving more than ``_DIVERGENCE_REL``
   relative raises ``QuadratureDivergence``.
@@ -67,8 +69,11 @@ def _as_matrix(A) -> np.ndarray:
 
 
 def _is_diagonal(A: np.ndarray) -> bool:
-    off = A - np.diag(np.diag(A))
-    return not np.any(off)
+    # Row r of the (n-1, n+1) view of the flat array after its first entry
+    # holds the n entries between diagonal r and diagonal r + 1; dropping
+    # its last column (diagonal r + 1) leaves exactly the off-diagonal.
+    n = A.shape[0]
+    return n == 1 or not np.any(A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n])
 
 
 def mat_exp(A, t: float = 1.0) -> np.ndarray:
@@ -116,7 +121,7 @@ def _pade_exp(M: np.ndarray) -> np.ndarray | None:
 class OpNormResult:
     value: float
     estimate: bool
-    maximizer: np.ndarray
+    maximizer: np.ndarray | None     # only when op_norm is asked for it
 
     def __float__(self) -> float:
         return self.value
@@ -182,7 +187,14 @@ def _pnorm_lower(B: np.ndarray, p: float, X0: np.ndarray,
     return float(best[k]), best_x[:, k]
 
 
-def op_norm(A, space: GridSpace, seed: int = 0) -> OpNormResult:
+def _unit_vector(n: int, k: int) -> np.ndarray:
+    x = np.zeros(n, dtype=complex)
+    x[k] = 1.0
+    return x
+
+
+def op_norm(A, space: GridSpace, seed: int = 0, *,
+            maximizer: bool = False) -> OpNormResult:
     """Induced operator norm of A on the weighted grid space.
 
     Exact closed forms for p in {1, 2, inf} (weighted column sums,
@@ -190,50 +202,56 @@ def op_norm(A, space: GridSpace, seed: int = 0) -> OpNormResult:
     and for diagonal matrices at any p (max |diagonal|).  Other p run
     the power iteration from 8 seeded random starts plus the p = 2
     maximizer and return a certified lower bound (``estimate=True``).
+
+    ``maximizer=True`` also returns a vector x attaining the value,
+    ``space.norm(A @ x) / space.norm(x) == value`` (the best iterate for
+    an estimate); at p = 2 that costs the singular vectors.  Otherwise
+    ``maximizer`` is None.
     """
     A = _as_matrix(A)
     n = A.shape[0]
     if n != space.dim:
         raise BadParams(f"matrix dim {n} does not match space dim {space.dim}")
     p, w = space.p, space.weights
-    absA = np.abs(A)
 
     if _is_diagonal(A):
-        d = np.abs(np.diag(A))
+        d = np.abs(np.diagonal(A))
         k = int(np.argmax(d))
-        x = np.zeros(n, dtype=complex)
-        x[k] = 1.0
-        return OpNormResult(float(d[k]), False, x)
+        return OpNormResult(float(d[k]), False,
+                            _unit_vector(n, k) if maximizer else None)
 
     if p == 1.0:
-        col = (w @ absA) / w
+        col = (w @ np.abs(A)) / w
         j = int(np.argmax(col))
-        x = np.zeros(n, dtype=complex)
-        x[j] = 1.0
-        return OpNormResult(float(col[j]), False, x)
+        return OpNormResult(float(col[j]), False,
+                            _unit_vector(n, j) if maximizer else None)
 
     if np.isinf(p):
+        absA = np.abs(A)
         row = np.sum(absA, axis=1)
         i = int(np.argmax(row))
-        x = _dual_sign(A[i].conj())
-        x[np.abs(A[i]) == 0.0] = 1.0
+        x = None
+        if maximizer:
+            x = _dual_sign(A[i].conj())
+            x[absA[i] == 0.0] = 1.0
         return OpNormResult(float(row[i]), False, x)
 
     scale = w ** (1.0 / p)
-    B = (scale[:, None] * A) / scale[None, :]
+    B = A if np.all(w == 1.0) else (scale[:, None] * A) / scale[None, :]
 
+    if p == 2.0 and not maximizer:
+        return OpNormResult(float(np.linalg.svd(B, compute_uv=False)[0]), False, None)
+
+    _, s, Vh = np.linalg.svd(B)
     if p == 2.0:
-        U, s, Vh = np.linalg.svd(B)
-        x = Vh[0].conj() / scale
-        return OpNormResult(float(s[0]), False, x)
+        return OpNormResult(float(s[0]), False, Vh[0].conj() / scale)
 
-    _, _, Vh = np.linalg.svd(B)
     starts = [Vh[0].conj()]
     rng = np.random.default_rng(seed)
     for _ in range(_POWER_RESTARTS):
         starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     best, best_x = _pnorm_lower(B, p, np.stack(starts, axis=1))
-    return OpNormResult(best, True, best_x / scale)
+    return OpNormResult(best, True, best_x / scale if maximizer else None)
 
 
 def resolvent(A, lam: complex) -> np.ndarray:
@@ -244,8 +262,8 @@ def resolvent(A, lam: complex) -> np.ndarray:
     """
     A = _as_matrix(A)
     n = A.shape[0]
-    M = lam * np.eye(n, dtype=complex) - A
     ident = np.eye(n, dtype=complex)
+    M = lam * ident - A
     try:
         X = np.linalg.solve(M, ident)
     except np.linalg.LinAlgError:

@@ -256,7 +256,7 @@ def rbound_estimate(family: Sequence[np.ndarray], space: GridSpace,
 
     signs = _selection_signs(1, cfg, cfg.seed)
     for j, T in enumerate(ops):
-        r = op_norm(T, space, seed=cfg.seed)
+        r = op_norm(T, space, seed=cfg.seed, maximizer=True)
         x = r.maximizer[None, :]
         val = _ratio(ops, (j,), x, space, cfg, signs)
         trials += 1

@@ -85,10 +85,13 @@ def _check_grid(t_grid: np.ndarray) -> np.ndarray:
     return t
 
 
+def _smallest_decade(t: np.ndarray) -> np.ndarray:
+    """Mask of the grid times within a factor 10 of the smallest."""
+    return t <= 10.0 * float(t[-1]) * (1.0 + 1e-12)
+
+
 def _smallest_decade_max(t: np.ndarray, values: np.ndarray) -> float:
-    t_min = float(t[-1])
-    mask = t <= 10.0 * t_min * (1.0 + 1e-12)
-    return float(np.max(values[mask]))
+    return float(np.max(values[_smallest_decade(t)]))
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,24 @@ def test_extrapolate_results_shape(tmp_path):
     assert res["smallest_passing_n"] >= 1
 
 
+def test_extrapolate_compares_over_rho_window(tmp_path):
+    # ||f(T(t))||_2 peaks at t = 0.67, above rho's window (the smallest
+    # decade, t in {0.067, 0.0067}), where ||f^2(T(t))||_4 exceeds the
+    # chain; inside the window every measured value stays below it.
+    argv = ["extrapolate", "--zoo", "tridiag_laplacian", "--dim", "8",
+            "--poly", "[[-0.6121,0.7908],[0.6121,-0.7908]]", "--p1", "2",
+            "--p2", "inf", "--p-target", "4", "--t-max", "0.67",
+            "--decades", "2", "--points-per-decade", "1", "--n-range", "[1,2]"]
+    out = tmp_path / "rep.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["True", "True"]
+    assert all(float(m) <= float(c) for _, c, m, _ in rows)
+    res = run_json(argv, tmp_path)["results"]
+    assert res["status"] == "ok"
+    assert res["all_bounds_hold"] is True
+
+
 # ------------------------------------------------------------------ zoo
 
 def test_zoo_list_entries(tmp_path):

@@ -7,9 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
 from semireg.errors import BadParams, NumericalError, SpectrumHit
 from semireg.linalg import (
     ContourSpec,
+    _is_diagonal,
     contour_integral,
     mat_exp,
     op_norm,
@@ -197,6 +202,97 @@ def test_op_norm_interlacing():
 def test_op_norm_dimension_mismatch():
     with pytest.raises(BadParams):
         op_norm(np.eye(3), GridSpace.unit(4, 2.0))
+
+
+_FINITE = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@st.composite
+def _norm_cases(draw):
+    """A complex matrix of dimension 1-12 (diagonal or not) on a weighted space."""
+    n = draw(st.integers(1, 12))
+    parts = draw(hnp.arrays(float, (2, n, n), elements=_FINITE))
+    A = parts[0] + 1j * parts[1]
+    if draw(st.booleans()):
+        A = np.diag(np.diag(A))
+    w = draw(hnp.arrays(float, n, elements=st.floats(1e-3, 1e3)))
+    p = draw(st.sampled_from([1.0, 2.0, 3.0, math.inf]))
+    return A, GridSpace(n, w, p)
+
+
+def _norm_oracle(A, space):
+    """The closed-form norm, or None where there is none (p = 3, dense)."""
+    n, w, p = A.shape[0], space.weights, space.p
+    if not np.any(A - np.diag(np.diag(A))):
+        return float(np.max(np.abs(np.diag(A))))
+    if p == 1.0:
+        return max(sum(w[i] * abs(A[i, j]) for i in range(n)) / w[j]
+                   for j in range(n))
+    if p == math.inf:
+        return max(sum(abs(A[i, j]) for j in range(n)) for i in range(n))
+    if p == 2.0:
+        d = np.sqrt(w)
+        return float(np.linalg.svd((d[:, None] * A) / d[None, :],
+                                   compute_uv=False)[0])
+    return None
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@_PROPERTY
+@given(_norm_cases())
+def test_op_norm_value_matches_oracle(case):
+    A, space = case
+    res = op_norm(A, space)
+    assert res.maximizer is None
+    want = _norm_oracle(A, space)
+    if want is not None:
+        assert not res.estimate
+        assert res.value == pytest.approx(want, rel=1e-12, abs=1e-300)
+        return
+    # p = 3 on a dense matrix: a certified lower bound, below the
+    # Riesz-Thorin product of the exact p = 2 and p = inf norms.
+    assert res.estimate
+    two = _norm_oracle(A, space.with_p(2.0))
+    sup = _norm_oracle(A, space.with_p(math.inf))
+    assert res.value <= two ** (2.0 / 3.0) * sup ** (1.0 / 3.0) * (1.0 + 1e-12)
+
+
+@_PROPERTY
+@given(_norm_cases())
+def test_op_norm_maximizer_attains_value(case):
+    A, space = case
+    res = op_norm(A, space, maximizer=True)
+    assert res.value == pytest.approx(op_norm(A, space).value, rel=1e-12,
+                                      abs=1e-300)
+    x = res.maximizer
+    assert x.shape == (space.dim,) and np.all(np.isfinite(x))
+    ratio = space.norm(A @ x) / space.norm(x)
+    assert ratio == pytest.approx(res.value, rel=1e-10, abs=1e-300)
+
+
+def _copy_is_diagonal(A):
+    return not np.any(A - np.diag(np.diag(A)))
+
+
+def test_is_diagonal_dimension_one():
+    for a in (0.0, 2.5 - 1j):
+        assert _is_diagonal(np.array([[a]], dtype=complex))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("where", ["first-row-last", "last-row-first",
+                                   "first-superdiag", "last-subdiag"])
+def test_is_diagonal_single_off_entry(n, where):
+    i, j = {"first-row-last": (0, n - 1), "last-row-first": (n - 1, 0),
+            "first-superdiag": (0, 1), "last-subdiag": (n - 1, n - 2)}[where]
+    A = np.diag(np.arange(1.0, n + 1.0)).astype(complex)
+    assert _is_diagonal(A) and _copy_is_diagonal(A)
+    A[i, j] = 1e-300j
+    assert not _is_diagonal(A) and not _copy_is_diagonal(A)
+    # A transposed (Fortran-ordered) view gives the same answer.
+    assert not _is_diagonal(A.T) and not _copy_is_diagonal(A.T)
 
 
 # ---------------------------------------------------------------------------

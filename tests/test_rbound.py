@@ -270,7 +270,7 @@ def test_rbound_singleton_with_subnormal_entries(budget):
     # stay finite so the singleton certifies the operator norm.
     E = mat_exp(zoo.build("tridiag_laplacian", 256).matrix, 0.3)
     sp = unit(256, math.inf)
-    norm = op_norm(E, sp)
+    norm = op_norm(E, sp, maximizer=True)
     assert np.all(np.isfinite(norm.maximizer))
     est = rbound_estimate([E], sp, EXACT2, budget=budget, ascent=False)
     assert est.value >= norm.value - 1e-12
