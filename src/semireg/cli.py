@@ -483,9 +483,8 @@ def cmd_cosine(r: Resolver):
         "dalembert_worst": worst,
         "dalembert_ok": worst <= TOLERANCES["dalembert"],
         "laplace": lap,
-        "generator_residual": generator_residual(fam, 0.5 * t_max,
-                                                 3.2e-4 / math.sqrt(
-            max(1.0, float(np.max(np.sum(np.abs(gen.matrix), axis=0)))))),
+        "generator_residual": generator_residual(
+            fam, 0.5 * t_max, cosine._generator_step(fam.generator)),
     }
     return results, ["t", "s", "dalembert_residual"], rows
 

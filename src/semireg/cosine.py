@@ -22,8 +22,8 @@ import numpy as np
 from .discpoly import Polynomial, eval_matrix, power_expand
 from .errors import (BadParams, NumericalError, QuadratureDivergence,
                      SeriesNotConverged, TailTooFat)
-from .linalg import (_is_diagonal, mat_exp, op_norm, quad_strong_integral,
-                     resolvent)
+from .linalg import (_is_diagonal, _norm1, mat_exp, op_norm,
+                     quad_strong_integral, resolvent)
 from .semigroup import (GrowthBound, _check_grid, _inverse_dim_limit,
                         _smallest_decade_max)
 from .spaces import GridSpace
@@ -77,9 +77,7 @@ class CosineFamily:
         self._gdiag = (None if self.group is None or not _is_diagonal(self.group)
                        else np.diag(self.group))
         if verify:
-            norm1 = float(np.max(np.sum(np.abs(A), axis=0))) if A.size else 0.0
-            h = 3.2e-4 / math.sqrt(max(1.0, norm1))
-            res = generator_residual(self, 0.7, h)
+            res = generator_residual(self, 0.7, _generator_step(A))
             if res > _GEN_CHECK_TOL:
                 raise NumericalError(
                     f"cosine family failed the generator check: "
@@ -113,7 +111,6 @@ class CosineFamily:
 
     def _sample_group(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         B = self.group
-        n = B.shape[0]
         C = 0.5 * (mat_exp(B, t) + mat_exp(B, -t))
         # int_0^t e^{sB} ds = t * phi1(tB), phi1 read off a block exponential.
         S = 0.5 * t * (_phi1(t * B) + _phi1(-t * B))
@@ -150,6 +147,10 @@ def cosine_from_group(B, label: str = "",
     """
     B = np.asarray(B, dtype=complex)
     return CosineFamily(B @ B, B, label, growth, verify)
+
+
+def _generator_step(A: np.ndarray) -> float:
+    return 3.2e-4 / math.sqrt(max(1.0, _norm1(A)))
 
 
 def generator_residual(fam: CosineFamily, t: float, h: float = 1e-4) -> float:

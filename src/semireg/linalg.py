@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BadParams, NumericalError, QuadratureDivergence, SpectrumHit
-from .spaces import GridSpace
+from .spaces import GridSpace, pnorms
 
 __all__ = [
     "ContourSpec",
@@ -48,6 +48,7 @@ _DIVERGENCE_REL = 1e-4       # relative motion at the cap that means divergence
 _COND_CAP = 1e12             # resolvent condition cap
 _POWER_RESTARTS = 8          # random restarts for the p-norm iteration
 _POWER_ITERS = 200
+_TINY = np.finfo(float).tiny
 
 # Pade order-13 numerator coefficients for the scaling-and-squaring
 # exponential (denominator uses the alternating-sign counterpart).
@@ -66,6 +67,11 @@ def _as_matrix(A) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise BadParams("matrix has non-finite entries")
     return A
+
+
+def _norm1(M: np.ndarray) -> float:
+    """Induced 1-norm, the largest absolute column sum (0 when empty)."""
+    return float(np.max(np.sum(np.abs(M), axis=0), initial=0.0))
 
 
 def _is_diagonal(A: np.ndarray) -> bool:
@@ -98,7 +104,7 @@ def _pade_exp(M: np.ndarray) -> np.ndarray | None:
     """e^M, or None when ||M||_1 overflows and no scaling applies."""
     n = M.shape[0]
     ident = np.eye(n, dtype=complex)
-    norm1 = float(np.max(np.sum(np.abs(M), axis=0)))
+    norm1 = _norm1(M)
     if not math.isfinite(norm1):
         return None
     s = max(0, int(math.ceil(math.log2(norm1 / _PADE13_THETA))) if norm1 > _PADE13_THETA else 0)
@@ -127,27 +133,29 @@ class OpNormResult:
         return self.value
 
 
-def _dual_sign(y: np.ndarray) -> np.ndarray:
-    # Real divisions by |y|: complex division by a subnormal modulus
+def _dual_map(y: np.ndarray, a: np.ndarray, s: float,
+              c: np.ndarray | None = None) -> np.ndarray:
+    """sign(y) |y|^(s-1) (0 where y = 0), the duality map of l^s, up to a
+    positive factor per row, from the moduli a = |y|.  Above s = 2 it is
+    y (a / c)^(s-2) for row bounds c >= max a (the row maxima by default):
+    no signs, no power above 1."""
+    if s > 2.0:
+        c = a.max(axis=-1) if c is None else c
+        return y * (a / np.maximum(c, _TINY)[:, None]) ** (s - 2.0)
+    # Signs by real divisions: complex division by a subnormal modulus
     # overflows (it forms 1/|y|).
-    a = np.abs(y)
-    a[a == 0.0] = 1.0
-    out = np.empty_like(y)
-    out.real = y.real / a
-    out.imag = y.imag / a
-    return out
-
-
-def _lp(x: np.ndarray, p: float) -> np.ndarray:
-    """p-norms of the columns of x (a scalar for a vector)."""
-    return np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p)
+    safe = np.where(a == 0.0, 1.0, a)
+    sign = np.empty_like(y)
+    sign.real = y.real / safe
+    sign.imag = y.imag / safe
+    return sign * a ** (s - 1.0)
 
 
 def _pnorm_lower(B: np.ndarray, p: float, X0: np.ndarray,
                  iters: int = _POWER_ITERS) -> tuple[float, np.ndarray]:
     """Nonlinear power iteration on the unweighted p-norm of B.
 
-    Each column of X0 is one start; the starts iterate together as one
+    Each row of X0 is one start; the starts iterate together as one
     matrix, and a start leaves the batch once it converges.  Alternates
     between the primal map x -> Bx and the duality map of the gradient;
     every iterate certifies ||Bx||_p / ||x||_p, so the running best is a
@@ -155,36 +163,34 @@ def _pnorm_lower(B: np.ndarray, p: float, X0: np.ndarray,
     start on ties) and its iterate.
     """
     q = p / (p - 1.0)
-    BH = B.conj().T
-    X = X0 / _lp(X0, p)
-    m = X.shape[1]
+    BT, BC = B.T, B.conj()
+    ones = np.ones(B.shape[0])
+    X = X0 / pnorms(np.abs(X0), ones, p)[:, None]
+    m = X.shape[0]
     best, best_x = np.zeros(m), X.copy()
-    prev = np.full(m, -1.0)
-    active = np.arange(m)
+    prev, active = np.full(m, -1.0), np.arange(m)
     for _ in range(iters):
-        Xa = X[:, active]
-        Y = B @ Xa
-        g = _lp(Y, p)
+        Xa = X[active]
+        Y = Xa @ BT
+        aY = np.abs(Y)
+        g = pnorms(aY, ones, p)
         up = g > best[active]
         best[active[up]] = g[up]
-        best_x[:, active[up]] = Xa[:, up]
+        best_x[active[up]] = Xa[up]
         pa = prev[active]
         done = (pa >= 0.0) & (np.abs(g - pa) <= 1e-14 * np.maximum(g, 1.0))
         prev[active] = g
-        Z = BH @ (np.abs(Y) ** (p - 1.0) * _dual_sign(Y))
-        zmax = np.max(np.abs(Z), axis=0)
-        done |= zmax == 0.0
-        Z = Z / np.where(zmax == 0.0, 1.0, zmax)
-        Xn = np.abs(Z) ** (q - 1.0) * _dual_sign(Z)
-        nx = _lp(Xn, p)
+        Z = _dual_map(Y, aY, p, g) @ BC
+        Xn = _dual_map(Z, np.abs(Z), q)
+        nx = pnorms(np.abs(Xn), ones, p)
         done |= nx == 0.0
         keep = ~done
-        X[:, active[keep]] = Xn[:, keep] / nx[keep]
+        X[active[keep]] = Xn[keep] / nx[keep, None]
         active = active[keep]
         if active.size == 0:
             break
     k = int(np.argmax(best))
-    return float(best[k]), best_x[:, k]
+    return float(best[k]), best_x[k]
 
 
 def _unit_vector(n: int, k: int) -> np.ndarray:
@@ -232,7 +238,7 @@ def op_norm(A, space: GridSpace, seed: int = 0, *,
         i = int(np.argmax(row))
         x = None
         if maximizer:
-            x = _dual_sign(A[i].conj())
+            x = _dual_map(A[i].conj(), absA[i], 1.0)
             x[absA[i] == 0.0] = 1.0
         return OpNormResult(float(row[i]), False, x)
 
@@ -246,11 +252,10 @@ def op_norm(A, space: GridSpace, seed: int = 0, *,
     if p == 2.0:
         return OpNormResult(float(s[0]), False, Vh[0].conj() / scale)
 
-    starts = [Vh[0].conj()]
     rng = np.random.default_rng(seed)
-    for _ in range(_POWER_RESTARTS):
-        starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    best, best_x = _pnorm_lower(B, p, np.stack(starts, axis=1))
+    starts = [Vh[0].conj()] + [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                               for _ in range(_POWER_RESTARTS)]
+    best, best_x = _pnorm_lower(B, p, np.stack(starts))
     return OpNormResult(best, True, best_x / scale if maximizer else None)
 
 
@@ -268,9 +273,7 @@ def resolvent(A, lam: complex) -> np.ndarray:
         X = np.linalg.solve(M, ident)
     except np.linalg.LinAlgError:
         raise SpectrumHit(f"resolvent at lam={lam}: factorization singular") from None
-    norm1 = float(np.max(np.sum(np.abs(M), axis=0)))
-    inv1 = float(np.max(np.sum(np.abs(X), axis=0)))
-    cond = norm1 * inv1
+    cond = _norm1(M) * _norm1(X)
     if not np.isfinite(cond) or cond > _COND_CAP:
         raise SpectrumHit(f"resolvent at lam={lam}: condition estimate {cond:.3e} exceeds cap")
     R = M @ X - ident
@@ -409,7 +412,6 @@ def quad_strong_integral(G: Callable[[float], np.ndarray], a: float, b: float,
         raise BadParams(f"integration interval needs b > a, got [{a}, {b}]")
 
     def gl(lo: float, hi: float, panels: int) -> np.ndarray:
-        mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo) / panels
         total = None
         for k in range(panels):

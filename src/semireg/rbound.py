@@ -26,7 +26,7 @@ from .errors import (BadParams, ContourTooClose, EnumerationTooLarge,
                      ParameterOutOfRange)
 from .linalg import ContourSpec, contour_integral, mat_exp, op_norm, resolvent
 from .semigroup import GeneratorSpec, _check_grid
-from .spaces import GridSpace
+from .spaces import GridSpace, pnorms
 
 __all__ = [
     "RBoundEstimate",
@@ -117,15 +117,13 @@ def rademacher_norm(vectors, space: GridSpace,
     """
     X = _stack_vectors(vectors, space.dim)
     signs = _selection_signs(X.shape[0], cfg, cfg.seed)
-    sums = _sign_sums(signs, X)
-    if cfg.mode == "exact":
-        return RadNorm(float(_rad_rows(sums, space, cfg.p)))
-    norms = space.norm_rows(sums) ** cfg.p
+    norms = space.norm_rows(_sign_sums(signs, X)) ** cfg.p
     value = float(np.mean(norms) ** (1.0 / cfg.p))
-    batches = np.array_split(norms, _MC_BATCHES)
-    ests = np.array([np.mean(b) ** (1.0 / cfg.p) for b in batches])
-    se = float(np.std(ests, ddof=1) / math.sqrt(len(batches)))
-    return RadNorm(value, se)
+    if cfg.mode == "exact":
+        return RadNorm(value)
+    ests = np.array([np.mean(b) ** (1.0 / cfg.p)
+                     for b in np.array_split(norms, _MC_BATCHES)])
+    return RadNorm(value, float(np.std(ests, ddof=1) / math.sqrt(_MC_BATCHES)))
 
 
 def kahane_contraction_check(vectors, scalars, space: GridSpace,
@@ -284,14 +282,12 @@ def rbound_estimate(family: Sequence[np.ndarray], space: GridSpace,
         if val > best_val:
             best_val, best_idx, best_X = val, idx, X_up
 
-    signs = _selection_signs(len(best_idx), cfg, cfg.seed)
     num = rademacher_norm(np.stack([ops[j] @ best_X[k]
                                     for k, j in enumerate(best_idx)]),
                           space, cfg)
     den = rademacher_norm(best_X, space, cfg)
     value = num.value / den.value
-    se = 0.0
-    converged = True
+    se, converged = 0.0, True
     if cfg.mode == "monte_carlo":
         se = (num.se / den.value
               + den.se * num.value / den.value ** 2)
@@ -344,8 +340,7 @@ def rbound_calculus_check(famT: Sequence[np.ndarray], famS: Sequence[np.ndarray]
 def square_function_norm(functions, space: GridSpace) -> float:
     """|| (sum_k |f_k|^2)^(1/2) || in the grid space's own norm."""
     X = _stack_vectors(functions, space.dim)
-    g = np.sqrt(np.sum(np.abs(X) ** 2, axis=0))
-    return space.norm(g)
+    return space.norm(pnorms(np.abs(X.T), np.ones(X.shape[0]), 2.0))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .discpoly import Polynomial, disc_norm, eval_matrix, in_C1, power_expand
 from .errors import BadParams, PhaseMismatch, QuadratureDivergence
 from .linalg import (_GL_NODES, _GL_WEIGHTS, mat_exp, op_norm,
                      quad_strong_integral, resolvent)
-from .spaces import GridSpace
+from .spaces import GridSpace, pnorms
 
 __all__ = [
     "BeurlingProfile",
@@ -310,15 +310,6 @@ def _march(gen: GeneratorSpec, forcing: Callable[[float], np.ndarray],
     return traj
 
 
-def _time_lp(values: np.ndarray, dt: float, p: float) -> float:
-    if np.isinf(p):
-        return float(np.max(values))
-    # Trapezoid weights over the uniform grid including both endpoints.
-    w = np.full(values.size, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return float(np.sum(w * values ** p) ** (1.0 / p))
-
-
 def mild_solution(gen: GeneratorSpec, forcing: Callable[[float], np.ndarray],
                   tau: float, p: float, n_time: int = 64,
                   max_doublings: int = 6) -> tuple[np.ndarray, float]:
@@ -339,14 +330,16 @@ def mild_solution(gen: GeneratorSpec, forcing: Callable[[float], np.ndarray],
         traj = _march(gen, forcing, tau, m)
         dt = tau / m
         ts = np.arange(m + 1) * dt
+        w = np.full(m + 1, dt)          # trapezoid weights, both endpoints
+        w[[0, -1]] = 0.5 * dt
         ax = np.linalg.norm(traj @ A.T, axis=1)
         fv = np.linalg.norm(
             np.stack([np.asarray(forcing(float(t)), dtype=complex) for t in ts]),
             axis=1)
-        denom = _time_lp(fv, dt, p)
+        denom = float(pnorms(fv, w, p))
         if denom == 0.0:
             raise BadParams("forcing is identically zero on the grid")
-        return traj, _time_lp(ax, dt, p) / denom
+        return traj, float(pnorms(ax, w, p)) / denom
 
     traj, ratio = ratio_at(n_time)
     m = n_time

@@ -6,19 +6,45 @@ A ``GridSpace`` is C^dim equipped with the norm
     ||x|| = max_i |x_i|                     for p = inf,
 
 with strictly positive weights w (atom masses of the discrete measure;
-they drop out of the sup norm).  All operator-norm and square-function
-computations in the package measure vectors this way.
+they drop out of the sup norm).
+
+Every vector p-norm in the package (``GridSpace.norm`` and ``norm_rows``,
+the p-norm power iteration, the time norm of ``mild_solution``, the
+square function) comes from one kernel, ``pnorms``.  When |x_i|^p could
+leave 2^(+-64) it scales the array exactly by the power of two of its
+peak; rows whose sum then falls below 1e-290 are redone with their own peak.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadParams
 
-__all__ = ["GridSpace"]
+__all__ = ["GridSpace", "pnorms"]
+
+_SAFE_EXP = 64       # unscaled |x|^p stays within 2^(+-64)
+_TINY_SUM = 1e-290   # rows whose scaled sum falls below: redone with their own peak
+
+
+def pnorms(a: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """Weighted p-norms (sum_i w_i a_i^p)^(1/p) of moduli a >= 0 along the
+    last axis, the max at p = inf; the module docstring gives the scaling."""
+    if math.isinf(p):
+        return a.max(axis=-1)
+    e = math.frexp(a.max())[1]
+    e = e if abs(e) * p > _SAFE_EXP else 0
+    s = (np.ldexp(a, -e) if e else a) ** p @ w
+    out = np.ldexp(s ** (1.0 / p), e) if e else s ** (1.0 / p)
+    if s.min() < _TINY_SUM:
+        out, low = np.array(out), s < _TINY_SUM
+        r = a[low]
+        peak = r.max(axis=-1, keepdims=True)
+        out[low] = peak[:, 0] * ((r / np.where(peak > 0.0, peak, 1.0)) ** p @ w) ** (1.0 / p)
+    return out
 
 
 @dataclass(frozen=True)
@@ -57,27 +83,11 @@ class GridSpace:
         x = np.asarray(x).reshape(-1)
         if x.shape != (self.dim,):
             raise BadParams(f"vector length {x.size} does not match dim {self.dim}")
-        if self.is_sup:
-            return float(np.max(np.abs(x)))
-        # Factoring out the peak keeps |x|^p inside double range for
-        # arbitrarily large finite p.
-        ax = np.abs(x)
-        peak = float(np.max(ax)) if ax.size else 0.0
-        if peak == 0.0:
-            return 0.0
-        return peak * float(
-            np.sum(self.weights * (ax / peak) ** self.p) ** (1.0 / self.p))
+        return float(pnorms(np.abs(x), self.weights, self.p))
 
     def norm_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Norm of each row of a (m, dim) array, vectorized."""
-        rows = np.asarray(rows)
-        if self.is_sup:
-            return np.max(np.abs(rows), axis=-1)
-        ar = np.abs(rows)
-        peak = np.max(ar, axis=-1, keepdims=True)
-        safe = np.where(peak > 0.0, peak, 1.0)
-        scaled = ((ar / safe) ** self.p @ self.weights) ** (1.0 / self.p)
-        return scaled * peak[..., 0]
+        """Norm of each row of a (..., dim) array, vectorized."""
+        return pnorms(np.abs(rows), self.weights, self.p)
 
     def with_p(self, p: float) -> "GridSpace":
         return GridSpace(self.dim, self.weights, p)

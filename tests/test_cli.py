@@ -186,6 +186,25 @@ def test_extrapolate_compares_over_rho_window(tmp_path):
     assert res["all_bounds_hold"] is True
 
 
+def test_beurling_at_large_p_matches_sup_norm(tmp_path, capsys):
+    # At n = 8 the p = 400 and p = inf norms differ by at most 8^(1/400) on
+    # vectors, so the operator norms by at most 8^(2/400) < 1.1%.
+    argv = ["beurling", "--zoo", "tridiag_laplacian", "--dim", "8", "--p", "400",
+            "--decades", "2", "--points-per-decade", "1"]
+    res = run_json(argv, tmp_path)["results"]
+    assert capsys.readouterr().err == ""
+    assert res["t"][-1] == 0.01
+    assert res["values"][-1] == pytest.approx(0.03941, rel=0.011)
+
+
+def test_maxreg_at_large_p_matches_sup_norm(tmp_path, capsys):
+    argv = ["maxreg", "--zoo", "tridiag_laplacian", "--dim", "32", "--p", "400",
+            "--tau-list", "[0.5]"]
+    res = run_json(argv, tmp_path)["results"]
+    assert capsys.readouterr().err == ""
+    assert res["ratios"]["0.5"] == pytest.approx(0.5451, rel=0.01)
+
+
 # ------------------------------------------------------------------ zoo
 
 def test_zoo_list_entries(tmp_path):

@@ -21,7 +21,7 @@ from semireg.linalg import (
     quad_strong_integral,
     resolvent,
 )
-from semireg.spaces import GridSpace
+from semireg.spaces import GridSpace, pnorms
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +43,52 @@ def test_weighted_norm_matches_direct_sum():
     x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     direct = float(np.sum(w * np.abs(x) ** 3.0)) ** (1.0 / 3.0)
     assert sp.norm(x) == pytest.approx(direct, rel=1e-12)
+
+
+def _pnorm_oracle(row, w, p):
+    """(sum_i w_i row_i^p)^(1/p) with the peak factored out and an exact sum."""
+    peak = max(row)
+    if p == math.inf or peak == 0.0:
+        return peak
+    total = math.fsum(wi * (ai / peak) ** p for ai, wi in zip(row, w))
+    return peak * total ** (1.0 / p)
+
+
+_MODULI = st.one_of(st.just(0.0),
+                    st.floats(-200.0, 200.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def _pnorm_cases(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    a = draw(hnp.arrays(float, (m, n), elements=_MODULI))
+    a[draw(hnp.arrays(bool, m))] = 0.0
+    w = draw(hnp.arrays(float, n, elements=st.floats(1e-3, 1e3)))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 50.0, 400.0, math.inf]))
+    return a, w, p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_pnorm_cases())
+def test_pnorms_matches_exact_sum(case):
+    a, w, p = case
+    n = a.shape[1]
+
+    def check(got, row, peak):
+        want = _pnorm_oracle(row, w, p)
+        if want == 0.0:
+            assert got == 0.0
+            return
+        # Rounding 1/p moves s^(1/p) by |ln s| / p units of rounding, and
+        # ln(s) / p is ln(want / scale) for a scale within 2^64 of the peak.
+        rel = 2.3e-16 * (n + 48.0 + abs(math.log(want) - math.log(peak)))
+        assert got == pytest.approx(want, rel=rel)
+
+    rows = pnorms(a, w, p)
+    assert rows.shape == (a.shape[0],)
+    for row, got in zip(a, rows):
+        check(got, row, a.max())
+        check(float(pnorms(row, w, p)), row, row.max())
 
 
 def test_space_validation():
@@ -216,12 +262,13 @@ def _norm_cases(draw):
     if draw(st.booleans()):
         A = np.diag(np.diag(A))
     w = draw(hnp.arrays(float, n, elements=st.floats(1e-3, 1e3)))
-    p = draw(st.sampled_from([1.0, 2.0, 3.0, math.inf]))
+    p = draw(st.sampled_from([1.0, 2.0, 3.0, 50.0, 400.0, math.inf]))
     return A, GridSpace(n, w, p)
 
 
 def _norm_oracle(A, space):
-    """The closed-form norm, or None where there is none (p = 3, dense)."""
+    """The closed-form norm, or None where there is none (dense, p not in
+    {1, 2, inf})."""
     n, w, p = A.shape[0], space.weights, space.p
     if not np.any(A - np.diag(np.diag(A))):
         return float(np.max(np.abs(np.diag(A))))
@@ -251,12 +298,13 @@ def test_op_norm_value_matches_oracle(case):
         assert not res.estimate
         assert res.value == pytest.approx(want, rel=1e-12, abs=1e-300)
         return
-    # p = 3 on a dense matrix: a certified lower bound, below the
-    # Riesz-Thorin product of the exact p = 2 and p = inf norms.
+    # p in {3, 50, 400} on a dense matrix: a certified lower bound, below
+    # the Riesz-Thorin product of the exact p = 2 and p = inf norms.
     assert res.estimate
     two = _norm_oracle(A, space.with_p(2.0))
     sup = _norm_oracle(A, space.with_p(math.inf))
-    assert res.value <= two ** (2.0 / 3.0) * sup ** (1.0 / 3.0) * (1.0 + 1e-12)
+    theta = 1.0 - 2.0 / space.p
+    assert res.value <= two ** (1.0 - theta) * sup ** theta * (1.0 + 1e-12)
 
 
 @_PROPERTY
@@ -270,6 +318,37 @@ def test_op_norm_maximizer_attains_value(case):
     assert x.shape == (space.dim,) and np.all(np.isfinite(x))
     ratio = space.norm(A @ x) / space.norm(x)
     assert ratio == pytest.approx(res.value, rel=1e-10, abs=1e-300)
+
+
+def _nonnegative_norm_search(A, p):
+    """max ||Ax||_p / ||x||_p over x = (cos t, sin t), t in [0, pi/2]:
+    a grid, then golden-section search around its best point."""
+    def ratio(t):
+        x = np.array([math.cos(t), math.sin(t)])
+        return (np.sum((A @ x) ** p) / np.sum(x ** p)) ** (1.0 / p)
+
+    grid = np.linspace(0.0, math.pi / 2.0, 4001)
+    k = int(np.argmax([ratio(t) for t in grid]))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+        lo, hi = (a, hi) if ratio(a) < ratio(b) else (lo, b)
+    return ratio(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 50.0, 400.0])
+def test_op_norm_nonnegative_matches_search(p):
+    # A nonnegative matrix N attains its p-norm at a nonnegative vector
+    # (|Nx| <= N|x| entrywise), where the power iteration finds the maximum;
+    # diagonal phases on either side are isometries and keep the norm.
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        N = rng.uniform(0.0, 1.0, (2, 2))
+        left, right = np.exp(2j * np.pi * rng.uniform(size=(2, 2)))
+        res = op_norm(left[:, None] * N * right[None, :], GridSpace.unit(2, p))
+        assert res.estimate
+        assert res.value == pytest.approx(_nonnegative_norm_search(N, p), rel=1e-12)
 
 
 def _copy_is_diagonal(A):
