@@ -19,7 +19,7 @@ from .errors import (BadParams, CoefficientOverflow, ConstantPolynomial,
 from .spaces import GridSpace
 from .linalg import (ContourSpec, OpNormResult, QuadResult, Segment,
                      contour_integral, mat_exp, op_norm, quad_strong_integral,
-                     resolvent)
+                     resolvent, spectral)
 from .discpoly import (BoundCheck, DiscNormResult, Polynomial, bernstein_check,
                        coeff_sum_bound_check, disc_norm, eval_matrix,
                        factor_out_root, in_C1, normalize_peak, power_expand)

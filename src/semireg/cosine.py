@@ -1,14 +1,11 @@
 """Cosine operator families and the zero-two dichotomy.
 
-A cosine family for a generator A is sampled through the block
-exponential
-
-    exp(t [[0, I], [A, 0]]) = [[C(t), S(t)], [A S(t), C(t)]],
-
-which avoids matrix square roots (no branch cuts for spectra crossing
-the negative axis).  Diagonal generators short-circuit to the entire
-scalar functions cosh(t sqrt(a)) and sinh(t sqrt(a))/sqrt(a), the same
-values without the 2n x 2n exponential.
+A family with a normal matrix is sampled from its eigenpair
+(``linalg.spectral``, once per family) as C(t) = V cosh(t w) V^H and
+S(t) = V t sinhc(t w) V^H, w = sqrt(lam) for a generator (even in w, so
+no branch cut) and w = mu for a group.  A non-normal generator takes the
+block exponential exp(t [[0, I], [A, 0]]) = [[C(t), S(t)], [A S(t), C(t)]],
+a non-normal group B the exponentials e^{+-tB} and phi1(+-tB).
 """
 
 from __future__ import annotations
@@ -22,8 +19,8 @@ import numpy as np
 from .discpoly import Polynomial, eval_matrix, power_expand
 from .errors import (BadParams, NumericalError, QuadratureDivergence,
                      SeriesNotConverged, TailTooFat)
-from .linalg import (_is_diagonal, _norm1, mat_exp, op_norm,
-                     quad_strong_integral, resolvent)
+from .linalg import (_norm1, _from_eig, mat_exp, op_norm,
+                     quad_strong_integral, resolvent, spectral)
 from .semigroup import (GrowthBound, _check_grid, _inverse_dim_limit,
                         _smallest_decade_max)
 from .spaces import GridSpace
@@ -73,9 +70,7 @@ class CosineFamily:
         self.group = None if group is None else np.asarray(group, dtype=complex)
         self.label = label
         self.growth = growth
-        self._diag = np.diag(A) if _is_diagonal(A) else None
-        self._gdiag = (None if self.group is None or not _is_diagonal(self.group)
-                       else np.diag(self.group))
+        self.eig = spectral(A if self.group is None else self.group)
         if verify:
             res = generator_residual(self, 0.7, _generator_step(A))
             if res > _GEN_CHECK_TOL:
@@ -90,18 +85,16 @@ class CosineFamily:
     def sample(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(C(t), S(t)); C is even and S is odd in t."""
         t = float(t)
-        if self._gdiag is not None:
-            b = self._gdiag
-            C = 0.5 * (np.exp(t * b) + np.exp(-t * b))
-            # S(t) = (t/2)(phi1(t b) + phi1(-t b)) with phi1(z) = (e^z - 1)/z;
-            # the even part of phi1 is sinh(z)/z.
-            S = t * _sinhc(t * b)
-            return np.diag(C), np.diag(S)
+        if self.eig is not None:
+            V, lam = self.eig
+            w = lam if self.group is not None else np.sqrt(lam)
+            with np.errstate(over="ignore", invalid="ignore"):
+                C, S = _from_eig(V, np.cosh(t * w)), _from_eig(V, t * _sinhc(t * w))
+            if not (np.all(np.isfinite(C)) and np.all(np.isfinite(S))):
+                raise NumericalError(f"C(t) or S(t) overflows at t = {t}")
+            return C, S
         if self.group is not None:
             return self._sample_group(t)
-        if self._diag is not None:
-            w = np.sqrt(self._diag.astype(complex))
-            return np.diag(np.cosh(t * w)), np.diag(t * _sinhc(t * w))
         n = self.dim
         block = np.zeros((2 * n, 2 * n), dtype=complex)
         block[:n, n:] = np.eye(n)
@@ -119,7 +112,7 @@ class CosineFamily:
     def group_op(self, t: float) -> np.ndarray:
         if self.group is None:
             raise BadParams("family was not built from a group")
-        return mat_exp(self.group, t)
+        return mat_exp(self.group, t, self.eig)
 
 
 def _phi1(M: np.ndarray) -> np.ndarray:
@@ -133,7 +126,7 @@ def _phi1(M: np.ndarray) -> np.ndarray:
 def cosine_from_generator(A, label: str = "",
                           growth: Optional[GrowthBound] = None,
                           verify: bool = True) -> CosineFamily:
-    """Cosine family of a generator matrix via the block exponential."""
+    """Cosine family of a generator matrix."""
     return CosineFamily(A, None, label, growth, verify)
 
 
@@ -142,8 +135,8 @@ def cosine_from_group(B, label: str = "",
                       verify: bool = True) -> CosineFamily:
     """C(t) = (e^{tB} + e^{-tB})/2; its generator is B^2.
 
-    Computed directly from the group (a distinct path from the block
-    exponential of B^2, which cross-checks it).
+    Sampled from the group itself, a distinct path from the family of
+    the generator B^2, which cross-checks it.
     """
     B = np.asarray(B, dtype=complex)
     return CosineFamily(B @ B, B, label, growth, verify)

@@ -40,6 +40,7 @@ __all__ = [
     "op_norm",
     "quad_strong_integral",
     "resolvent",
+    "spectral",
 ]
 
 _NODE_CAP = 2 ** 14          # max function evaluations per integral
@@ -49,6 +50,8 @@ _COND_CAP = 1e12             # resolvent condition cap
 _POWER_RESTARTS = 8          # random restarts for the p-norm iteration
 _POWER_ITERS = 200
 _TINY = np.finfo(float).tiny
+_NORMAL_TOL = 64.0 * np.finfo(float).eps  # spectral: residuals within 64 n eps
+_SKEW_WEIGHT = 0.6180339887498949        # eigh of H + w(-iK) has eigenvalues Re + w Im
 
 # Pade order-13 numerator coefficients for the scaling-and-squaring
 # exponential (denominator uses the alternating-sign counterpart).
@@ -82,19 +85,38 @@ def _is_diagonal(A: np.ndarray) -> bool:
     return n == 1 or not np.any(A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n])
 
 
-def mat_exp(A, t: float = 1.0) -> np.ndarray:
-    """e^{tA} by order-13 Pade with power-of-two scaling from ||tA||_1.
-
-    Diagonal matrices short-circuit to the entrywise exponential (the
-    same value, exact); dense matrices always take the Pade path.  A
-    result that overflows, or a dense tA that does, raises
-    ``NumericalError``.
-    """
+def spectral(A) -> tuple[np.ndarray | None, np.ndarray] | None:
+    """(V, lam) with A = V diag(lam) V^H, V unitary or None for a diagonal A;
+    None when ||A A^H - A^H A||_F > 64 n eps ||A||_F^2 or, for V from ``eigh``
+    of H + w(-iK) (H, K the Hermitian and skew parts of A) and its Rayleigh
+    quotients lam, when ||A V - V diag(lam)||_F > 64 n eps ||A||_F."""
     A = _as_matrix(A)
+    if _is_diagonal(A):
+        return None, np.diagonal(A)
+    AH, fro = A.conj().T, float(np.linalg.norm(A))
+    tol = _NORMAL_TOL * A.shape[0] * fro
+    if np.linalg.norm(A @ AH - AH @ A) > tol * fro:
+        return None
+    V = np.linalg.eigh((A + AH) / 2.0 + _SKEW_WEIGHT * (-0.5j) * (A - AH))[1]
+    AV = A @ V
+    lam = np.einsum("ij,ij->j", V.conj(), AV)
+    return None if np.linalg.norm(AV - V * lam) > tol else (V, lam)
+
+
+def _from_eig(V: np.ndarray | None, f: np.ndarray) -> np.ndarray:
+    """V diag(f) V^H, or diag(f) when V is None."""
+    return np.diag(f) if V is None else (V * f) @ V.conj().T
+
+
+def mat_exp(A, t: float = 1.0, eig=None) -> np.ndarray:
+    """e^{tA} as V e^{t lam} V^H from ``eig = spectral(A)`` when given or A
+    is diagonal, else by order-13 Pade with power-of-two scaling from ||tA||_1.
+    A result that overflows, or a tA that does, raises ``NumericalError``."""
+    A = _as_matrix(A)
+    eig = spectral(A) if eig is None and _is_diagonal(A) else eig
     # Overflow leaves non-finite entries, which are checked, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
-        E = (np.diag(np.exp(t * np.diag(A))) if _is_diagonal(A)
-             else _pade_exp(t * A))
+        E = _pade_exp(t * A) if eig is None else _from_eig(eig[0], np.exp(t * eig[1]))
     if E is None or not np.all(np.isfinite(E)):
         raise NumericalError(f"e^(tA) overflows at t = {t}")
     return E

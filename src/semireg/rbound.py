@@ -24,7 +24,7 @@ import numpy as np
 from .discpoly import BoundCheck, Polynomial, disc_norm, eval_matrix
 from .errors import (BadParams, ContourTooClose, EnumerationTooLarge,
                      ParameterOutOfRange)
-from .linalg import ContourSpec, contour_integral, mat_exp, op_norm, resolvent
+from .linalg import ContourSpec, contour_integral, op_norm, resolvent
 from .semigroup import GeneratorSpec, _check_grid
 from .spaces import GridSpace, pnorms
 
@@ -102,9 +102,9 @@ def _sign_sums(signs: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (signs @ X.view(float)).view(complex)
 
 
-def _rad_rows(sums: np.ndarray, space: GridSpace, p: float) -> np.ndarray:
-    """Rademacher p-averages from sign sums of shape (..., patterns, dim)."""
-    return np.mean(space.norm_rows(sums) ** p, axis=-1) ** (1.0 / p)
+def _rad_rows(norms: np.ndarray, p: float) -> np.ndarray:
+    """Rademacher p-averages (mean of norms^p)^(1/p) over the last axis."""
+    return pnorms(norms, np.full(norms.shape[-1], 1.0 / norms.shape[-1]), p)
 
 
 def rademacher_norm(vectors, space: GridSpace,
@@ -113,16 +113,16 @@ def rademacher_norm(vectors, space: GridSpace,
 
     Exact mode averages over all 2^n sign patterns and requires
     n <= cfg.exact_cap; Monte Carlo mode reports the batch-means
-    standard error over 32 batches.
+    standard error over 32 equal batches.
     """
     X = _stack_vectors(vectors, space.dim)
     signs = _selection_signs(X.shape[0], cfg, cfg.seed)
-    norms = space.norm_rows(_sign_sums(signs, X)) ** cfg.p
-    value = float(np.mean(norms) ** (1.0 / cfg.p))
+    norms = space.norm_rows(_sign_sums(signs, X))
+    value = float(_rad_rows(norms, cfg.p))
     if cfg.mode == "exact":
         return RadNorm(value)
-    ests = np.array([np.mean(b) ** (1.0 / cfg.p)
-                     for b in np.array_split(norms, _MC_BATCHES)])
+    q = norms.size // _MC_BATCHES    # the last N mod 32 samples enter the value only
+    ests = _rad_rows(norms[:q * _MC_BATCHES].reshape(_MC_BATCHES, q), cfg.p)
     return RadNorm(value, float(np.std(ests, ddof=1) / math.sqrt(_MC_BATCHES)))
 
 
@@ -165,7 +165,7 @@ def _ratios(ops: Sequence[np.ndarray], idx, Xs: np.ndarray, space: GridSpace,
     T = np.stack([ops[j] for j in idx])
     Y = np.concatenate([Xs, np.matmul(T, Xs[..., None])[..., 0]], dtype=complex)
     step = max(1, _CHUNK_ELEMS // (signs.shape[0] * space.dim))
-    rad = np.concatenate([_rad_rows(_sign_sums(signs, Y[lo:lo + step]), space, p)
+    rad = np.concatenate([_rad_rows(space.norm_rows(_sign_sums(signs, Y[lo:lo + step])), p)
                           for lo in range(0, Y.shape[0], step)])
     den, num = rad[:Xs.shape[0]], rad[Xs.shape[0]:]
     zero = den == 0.0
@@ -495,7 +495,7 @@ def sector_family_estimate(gen: GeneratorSpec, delta: float, space: GridSpace,
         raise BadParams(f"sector half-angle must lie in (0, pi/2), got {delta}")
     radii = 10.0 ** (-radius_decades * np.arange(n_radii) / (n_radii - 1))
     angles = np.linspace(-delta, delta, n_angles)
-    fam = [mat_exp(gen.matrix, complex(r * np.exp(1j * a)))
+    fam = [gen.semigroup(complex(r * np.exp(1j * a)))
            for r in radii for a in angles]
     return rbound_estimate(fam, space, cfg, budget)
 

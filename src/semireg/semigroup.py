@@ -9,6 +9,7 @@ truncation dimension grows are flagged by the dichotomy fit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -18,7 +19,7 @@ import numpy as np
 from .discpoly import Polynomial, disc_norm, eval_matrix, in_C1, power_expand
 from .errors import BadParams, PhaseMismatch, QuadratureDivergence
 from .linalg import (_GL_NODES, _GL_WEIGHTS, mat_exp, op_norm,
-                     quad_strong_integral, resolvent)
+                     quad_strong_integral, resolvent, spectral)
 from .spaces import GridSpace, pnorms
 
 __all__ = [
@@ -64,8 +65,13 @@ class GeneratorSpec:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def eig(self):
+        """``spectral(matrix)``, once: the pair every T(t) is formed from."""
+        return spectral(self.matrix)
+
     def semigroup(self, t: float) -> np.ndarray:
-        return mat_exp(self.matrix, t)
+        return mat_exp(self.matrix, t, self.eig)
 
 
 def log_time_grid(t_max: float, decades: float, per_decade: int = 16) -> np.ndarray:
@@ -187,10 +193,9 @@ def kato_resolvent_identity_check(gen: GeneratorSpec, zeta: complex, t: float,
             f"nor {theta - 2.0 * math.pi:.12g} of zeta = {zeta}")
     # (A - i alpha)^{-1} is the negated resolvent (i alpha - A)^{-1}.
     lhs = -resolvent(gen.matrix, 1j * alpha)
-    A = gen.matrix
 
     def integrand(s: float) -> np.ndarray:
-        return np.exp(-1j * s * alpha) * mat_exp(A, s)
+        return np.exp(-1j * s * alpha) * gen.semigroup(s)
 
     integral = quad_strong_integral(integrand, 0.0, t).value
     factor = resolvent(gen.semigroup(t), zeta)

@@ -205,6 +205,14 @@ def test_maxreg_at_large_p_matches_sup_norm(tmp_path, capsys):
     assert res["ratios"]["0.5"] == pytest.approx(0.5451, rel=0.01)
 
 
+def test_rbound_at_large_rad_p_is_finite(tmp_path, capsys):
+    argv = ["rbound", "--zoo", "heat_conv", "--dim", "8", "--mode", "exact",
+            "--budget", "2", "--rad-p", "400"]
+    res = run_json(argv, tmp_path)["results"]
+    assert capsys.readouterr().err == ""
+    assert np.isfinite(res["r_estimate"])
+
+
 # ------------------------------------------------------------------ zoo
 
 def test_zoo_list_entries(tmp_path):

@@ -3,9 +3,12 @@ the d'Alembert and Laplace-transform identities, zero-two profiles, the
 polynomial witness on groups, and the shifted-generator series."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semireg import zoo
 from semireg.cosine import (
@@ -26,7 +29,7 @@ from semireg.errors import (
     SeriesNotConverged,
     TailTooFat,
 )
-from semireg.linalg import quad_strong_integral
+from semireg.linalg import mat_exp, quad_strong_integral, spectral
 from semireg.semigroup import GrowthBound, log_time_grid
 
 
@@ -42,6 +45,66 @@ def skew_hermitian(rng, dim):
 
 # ---------------------------------------------------------------------------
 # construction and closed forms
+
+
+@st.composite
+def _normal_cases(draw):
+    """A = Q diag(lam) Q^H from a seeded unitary Q; lam is drawn with
+    repetition from a pool, as heat_conv's +-m modes repeat."""
+    n = draw(st.integers(1, 10))
+    pool = draw(st.lists(st.builds(complex, st.floats(-4096.0, 0.0),
+                                   st.floats(-64.0, 64.0)),
+                         min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    lam = np.array([pool[k] for k in picks])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Q = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    return Q, lam, draw(st.floats(1e-4, 1.0))
+
+
+def _sinhc_oracle(z):
+    safe = np.where(z == 0.0, 1.0, z)
+    return np.where(z == 0.0, 1.0, np.sinh(safe) / safe)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_normal_cases())
+def test_spectral_path_matches_unitary_oracle(case):
+    Q, lam, t = case
+    QH = Q.conj().T
+    n = lam.size
+    A = (Q * lam) @ QH
+    eig = spectral(A)
+    assert eig is not None
+    # Forming A rounds it by about n eps ||A||; the exponentials carry
+    # that error times t and the growth of cosh.
+    tol = 64.0 * n * np.finfo(float).eps * (1.0 + t * np.max(np.abs(lam)))
+    E = mat_exp(A, t, eig)
+    assert np.linalg.norm(E - (Q * np.exp(t * lam)) @ QH, 2) <= tol
+    w = np.sqrt(lam)
+    growth = max(1.0, float(np.max(np.abs(np.cosh(t * w)))))
+    C_ref = (Q * np.cosh(t * w)) @ QH
+    S_ref = (Q * (t * _sinhc_oracle(t * w))) @ QH
+    for fam in (cosine_from_generator(A, verify=False),
+                cosine_from_group((Q * w) @ QH, verify=False)):
+        assert fam.eig is not None
+        C, S = fam.sample(t)
+        assert np.linalg.norm(C - C_ref, 2) <= tol * growth
+        assert np.linalg.norm(S - S_ref, 2) <= tol * growth * t
+
+
+def test_normal_cosine_overflow_is_numerical_failure():
+    rng = np.random.default_rng(14)
+    Q = np.linalg.qr(rng.standard_normal((4, 4))
+                     + 1j * rng.standard_normal((4, 4)))[0]
+    A = (Q * np.array([800.0 ** 2, -1.0, 4.0, 0.0])) @ Q.conj().T
+    fam = cosine_from_generator(A, verify=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError):
+            fam.sample(1.0)
+    assert not caught
 
 
 def test_cosine_at_zero():

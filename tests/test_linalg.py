@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from semireg import linalg
 from semireg.errors import BadParams, NumericalError, SpectrumHit
 from semireg.linalg import (
     ContourSpec,
@@ -20,8 +21,10 @@ from semireg.linalg import (
     op_norm,
     quad_strong_integral,
     resolvent,
+    spectral,
 )
 from semireg.spaces import GridSpace, pnorms
+from semireg.zoo import build
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +188,43 @@ def test_mat_exp_overflow_is_numerical_failure(A):
         with pytest.raises(NumericalError):
             mat_exp(A, 100.0)
     assert not caught
+
+
+def _unitary(rng, n):
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(G)[0]
+
+
+def _near_normal(eps):
+    """Q (D + eps N) Q^H: distinct eigenvalues, nilpotent N of unit entries."""
+    rng = np.random.default_rng(11)
+    Q = _unitary(rng, 8)
+    D = np.diag(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    N = np.triu(rng.standard_normal((8, 8)), 1)
+    return Q @ (D + eps * N) @ Q.conj().T
+
+
+@pytest.mark.parametrize("A", [
+    build("jordan", 8).matrix,
+    np.random.default_rng(12).standard_normal((8, 8)),
+    _near_normal(1e-6),
+    _near_normal(1e-10),
+], ids=["jordan", "random", "near_normal_1e-6", "near_normal_1e-10"])
+def test_spectral_rejects_non_normal(A):
+    assert spectral(A) is None
+
+
+def test_spectral_rejects_eigenvalues_that_meet_under_the_weight():
+    # lam = 0 and i - w share Re + w Im = 0, so eigh returns any basis of
+    # their joint eigenspace; the residual check must refuse it, and the
+    # exponential then comes from Pade.
+    w = linalg._SKEW_WEIGHT
+    Q = _unitary(np.random.default_rng(15), 2)
+    lam = np.array([0.0, 1j - w])
+    A = (Q * lam) @ Q.conj().T
+    assert spectral(A) is None
+    ref = (Q * np.exp(0.7 * lam)) @ Q.conj().T
+    assert np.linalg.norm(mat_exp(A, 0.7) - ref, 2) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

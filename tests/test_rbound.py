@@ -249,6 +249,28 @@ def test_rbound_witness_reproduces_value():
     assert num / den == pytest.approx(est.value, abs=1e-9)
 
 
+def test_rbound_at_large_rad_p_matches_peak_factored_enumeration():
+    # At rad_p = 400 the p-th powers of these sign-sum norms (about 10^2)
+    # overflow; the oracle divides by the peak norm before raising.
+    rng = np.random.default_rng(30)
+    space = unit(4)
+    fam = [50.0 * rand_vecs(rng, 4, 4) for _ in range(3)]
+    est = rbound_estimate(fam, space, RademacherConfig(p=400.0, mode="exact"),
+                          budget=4)
+
+    def rad(V):
+        norms = [math.sqrt(math.fsum(abs(z) ** 2 for z in sum(
+                     e * v for e, v in zip(eps, V))))
+                 for eps in itertools.product((1.0, -1.0), repeat=len(V))]
+        peak = max(norms)
+        return peak * (math.fsum((a / peak) ** 400 for a in norms)
+                       / len(norms)) ** (1.0 / 400)
+
+    X = est.witness_vectors
+    num = rad([fam[j] @ X[k] for k, j in enumerate(est.witness_indices)])
+    assert est.value == pytest.approx(num / rad(X), rel=1e-12)
+
+
 def test_rbound_monte_carlo_singleton_is_exact():
     # A singleton ratio is invariant under the sign, so sampling has
     # zero variance and the estimate must match enumeration.

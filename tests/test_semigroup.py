@@ -2,12 +2,13 @@
 reports, the converse profile and maximal-regularity ratios."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from semireg.discpoly import Polynomial, disc_norm
-from semireg.errors import BadParams, PhaseMismatch, SpectrumHit
+from semireg.errors import BadParams, NumericalError, PhaseMismatch, SpectrumHit
 from semireg.linalg import mat_exp
 from semireg.semigroup import (
     GeneratorSpec,
@@ -47,6 +48,20 @@ def test_grid_must_span_two_decades():
     with pytest.raises(BadParams):
         beurling_profile(build("jordan", 8), F,
                          np.geomspace(1.0, 0.5, 8), unit(8))
+
+
+def test_normal_semigroup_overflow_is_numerical_failure():
+    rng = np.random.default_rng(13)
+    Q = np.linalg.qr(rng.standard_normal((6, 6))
+                     + 1j * rng.standard_normal((6, 6)))[0]
+    lam = np.array([800.0, -1.0, -2.0, 3j, -3j, 0.0])
+    gen = GeneratorSpec((Q * lam) @ Q.conj().T)
+    assert gen.eig is not None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError):
+            gen.semigroup(1.0)
+    assert not caught
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from semireg.cosine import cosine_from_group
 from semireg.errors import BadParams, UnknownEntry
 from semireg.linalg import mat_exp
 from semireg.semigroup import check_growth
@@ -63,6 +64,33 @@ def test_tridiag_laplacian_spectrum():
     j = np.arange(1, n + 1)
     expected = np.sort(-4.0 * np.sin(j * math.pi / (2.0 * (n + 1))) ** 2 / h ** 2)
     np.testing.assert_allclose(eig, expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_tridiag_laplacian_semigroup_matches_sine_basis(n):
+    # S_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)) is orthonormal and symmetric and
+    # diagonalizes the Dirichlet second difference.
+    j = np.arange(1, n + 1)
+    S = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * math.pi / (n + 1))
+    lam = -4.0 * np.sin(j * math.pi / (2.0 * (n + 1))) ** 2
+    gen = build("tridiag_laplacian", n)
+    for t in (1e-3, 0.1, 1.0, 10.0):
+        ref = (S * np.exp(t * lam)) @ S
+        got = gen.semigroup(t)
+        assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+
+@pytest.mark.parametrize("dim", [2 ** k for k in range(3, 10)])
+def test_normal_entries_take_the_spectral_path(dim):
+    # Every normal entry keeps its eigenpair at every dimension, so a
+    # tolerance that sent one back to Pade fails here; jordan never has one.
+    for name in ("tridiag_laplacian", "heat_conv", "shift_periodic"):
+        assert build(name, dim).eig[0] is not None, name
+    for name in ("diag_ray", "skew_diag"):
+        assert build(name, dim).eig[0] is None, name
+    assert build("jordan", dim).eig is None
+    assert cosine_from_group(build("shift_periodic", dim).matrix,
+                             verify=False).eig is not None
 
 
 def test_shift_periodic_generates_cyclic_shift():
