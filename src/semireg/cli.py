@@ -538,6 +538,7 @@ def cmd_fattorini(r: Resolver):
         "nodes": rep.nodes, "refinements": rep.refinements,
         "final_error": rep.final_error, "bound_ok": rep.bound_ok,
         "converged": rep.final_error <= TOLERANCES["fattorini_tail"],
+        "path": rep.path,
     }
     rows = [(n, float(rep.term_norms[n]), float(rep.term_bounds[n]),
              float(rep.partial_errors[n])) for n in range(rep.n_max + 1)]

@@ -5,7 +5,9 @@ A family with a normal matrix is sampled from its eigenpair
 S(t) = V t sinhc(t w) V^H, w = sqrt(lam) for a generator (even in w, so
 no branch cut) and w = mu for a group.  A non-normal generator takes the
 block exponential exp(t [[0, I], [A, 0]]) = [[C(t), S(t)], [A S(t), C(t)]],
-a non-normal group B the exponentials e^{+-tB} and phi1(+-tB).
+a non-normal group B the exponentials e^{+-tB} and phi1(+-tB).  The
+Fattorini series of a normal family convolves those eigen-coordinates,
+n scalar sequences per level, and of any other family the matrix samples.
 """
 
 from __future__ import annotations
@@ -86,13 +88,8 @@ class CosineFamily:
         """(C(t), S(t)); C is even and S is odd in t."""
         t = float(t)
         if self.eig is not None:
-            V, lam = self.eig
-            w = lam if self.group is not None else np.sqrt(lam)
-            with np.errstate(over="ignore", invalid="ignore"):
-                C, S = _from_eig(V, np.cosh(t * w)), _from_eig(V, t * _sinhc(t * w))
-            if not (np.all(np.isfinite(C)) and np.all(np.isfinite(S))):
-                raise NumericalError(f"C(t) or S(t) overflows at t = {t}")
-            return C, S
+            c, s = self._eig_samples(t)
+            return _from_eig(self.eig[0], c), _from_eig(self.eig[0], s)
         if self.group is not None:
             return self._sample_group(t)
         n = self.dim
@@ -101,6 +98,20 @@ class CosineFamily:
         block[n:, :n] = self.generator
         E = mat_exp(block, t)
         return E[:n, :n], E[:n, n:]
+
+    def _eig_samples(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """cosh(t w) and t sinhc(t w), the eigen-coordinates of C(t) and S(t)
+        in ``self.eig``, with one row per entry of an array t."""
+        lam = self.eig[1]
+        w = lam if self.group is not None else np.sqrt(lam)
+        t = np.asarray(t, dtype=float)[..., None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, s = np.cosh(t * w), t * _sinhc(t * w)
+        ok = np.isfinite(c) & np.isfinite(s)
+        if not np.all(ok):
+            bad = np.where(ok, np.inf, t).min()
+            raise NumericalError(f"C(t) or S(t) overflows at t = {bad}")
+        return c, s
 
     def _sample_group(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         B = self.group
@@ -298,6 +309,7 @@ class FattoriniReport:
     term_bounds: np.ndarray
     bound_ok: bool
     final_error: float
+    path: str                       # "spectral" (eigen-coordinates) or "matrix"
 
 
 def _convolve_level(S_mem: np.ndarray, prev: np.ndarray, h: float) -> np.ndarray:
@@ -315,6 +327,14 @@ def _convolve_level(S_mem: np.ndarray, prev: np.ndarray, h: float) -> np.ndarray
     return h * out
 
 
+def _convolve_coords(S: np.ndarray, prev: np.ndarray, h: float) -> np.ndarray:
+    """``_convolve_level`` on (m, n) eigen-coordinates, one direct (not FFT)
+    ``np.convolve`` per eigen-component."""
+    m = prev.shape[0]
+    full = np.stack([np.convolve(a, b)[:m] for a, b in zip(S.T, prev.T)], axis=1)
+    return h * (full - 0.5 * (S * prev[0] + S[0] * prev))
+
+
 def fattorini_series(fam: CosineFamily, omega: float, n_max: int, t: float,
                      quad_nodes: int = 128,
                      refine_tol: float = _FATTORINI_REFINE,
@@ -325,50 +345,57 @@ def fattorini_series(fam: CosineFamily, omega: float, n_max: int, t: float,
         C_0 = C,  C_n(t) = int_0^t S(t - s) C_{n-1}(s) ds,
         sum_n (-omega)^n C_n(t) -> cosine of A - omega at t.
 
-    Built on a shared uniform s-grid with memoized (C, S) samples; the
-    grid doubles until the final partial sum moves less than 1e-6, and
-    the term bound ||C_n(t)|| <= M e^{omega t} t^{2n} / (2n)! is checked
-    with M fitted as the sampled sup of ||C|| on [0, t].
+    Built on a shared uniform s-grid; the grid doubles until the final
+    partial sum moves less than 1e-6, and the term bound
+    ||C_n(t)|| <= M e^{omega t} t^{2n} / (2n)! is checked with M fitted as
+    the sampled sup of ||C(s)||_2 on [0, t].
+
+    A family with an eigenpair (``fam.eig``, path "spectral") carries each
+    level as the (m + 1, n) eigen-coordinates cosh(s w), s sinhc(s w) and
+    their convolutions, and forms V diag(.) V^H only for the n_max + 1
+    terms at t; its M is max |cosh(s w)| over the grid, which is the sup of
+    ||C(s)||_2 because V is unitary.  Any other family (path "matrix")
+    convolves memoized (C, S) matrix samples.
     """
-    if omega < 0.0:
-        raise BadParams(f"shift omega must be >= 0, got {omega}")
-    if t < 0.0 or n_max < 1:
-        raise BadParams("need t >= 0 and n_max >= 1")
+    if not (math.isfinite(omega) and omega >= 0.0):
+        raise BadParams(f"shift omega must be finite and >= 0, got {omega}")
+    if not (math.isfinite(t) and t >= 0.0) or n_max < 1 or int(quad_nodes) < 1:
+        raise BadParams("need finite t >= 0, n_max >= 1 and quad_nodes >= 1")
+    eig = fam.eig
+    path = "matrix" if eig is None else "spectral"
     if t == 0.0:
         # C(0) = I and C_n(0) = 0 for n >= 1; no quadrature involved.
         ident = np.eye(fam.dim, dtype=complex)
-        zeros = np.zeros(n_max + 1)
-        norms = zeros.copy()
-        norms[0] = 1.0
-        bounds = zeros.copy()
-        bounds[0] = 1.0 + 1e-6
+        norms = np.eye(1, n_max + 1)[0]
         return FattoriniReport(omega, 0.0, n_max, 0, 0,
                                [ident.copy() for _ in range(n_max + 1)],
-                               zeros.copy(), norms, bounds, True, 0.0)
+                               np.zeros(n_max + 1), norms,
+                               (1.0 + 1e-6) * norms, True, 0.0, path)
+    convolve = _convolve_level if eig is None else _convolve_coords
     m = int(quad_nodes)
     C_samples = S_samples = None
     prev_final = None
     refinements = 0
     while True:
         h = t / m
-        if C_samples is None:
-            pts = [fam.sample(i * h) for i in range(m + 1)]
+        if eig is not None:
+            C_samples, S_samples = fam._eig_samples(h * np.arange(m + 1))
         else:
-            pts = [None] * (m + 1)
-            for i in range(0, m + 1, 2):
-                pts[i] = (C_samples[i // 2], S_samples[i // 2])
-            for i in range(1, m + 1, 2):
-                pts[i] = fam.sample(i * h)
-        C_samples = np.stack([pq[0] for pq in pts])
-        S_samples = np.stack([pq[1] for pq in pts])
+            # A doubled grid keeps the samples at its even nodes.
+            pts = [fam.sample(i * h) if C_samples is None or i % 2
+                   else (C_samples[i // 2], S_samples[i // 2])
+                   for i in range(m + 1)]
+            C_samples = np.stack([pq[0] for pq in pts])
+            S_samples = np.stack([pq[1] for pq in pts])
 
-        terms_at_t = [C_samples[-1]]
+        at_t = [C_samples[-1]]
         level = C_samples
         for _ in range(n_max):
-            level = _convolve_level(S_samples, level, h)
-            terms_at_t.append(level[-1])
+            level = convolve(S_samples, level, h)
+            at_t.append(level[-1])
+        terms_at_t = at_t if eig is None else [_from_eig(eig[0], c) for c in at_t]
         partials = []
-        acc = np.zeros_like(C_samples[-1])
+        acc = np.zeros_like(terms_at_t[0])
         for n, term in enumerate(terms_at_t):
             acc = acc + (-omega) ** n * term
             partials.append(acc.copy())
@@ -393,12 +420,13 @@ def fattorini_series(fam: CosineFamily, omega: float, n_max: int, t: float,
     reference = cosine_from_generator(
         fam.generator - omega * np.eye(fam.dim), verify=False).sample(t)[0]
     errors = np.linalg.norm(np.stack(partials) - reference, 2, axis=(1, 2))
-    M_fit = (1.0 + 1e-6) * float(np.max(
-        np.linalg.norm(C_samples, 2, axis=(1, 2))))
+    C_norms = (np.linalg.norm(C_samples, 2, axis=(1, 2)) if eig is None
+               else np.abs(C_samples))
+    M_fit = (1.0 + 1e-6) * float(np.max(C_norms))
     term_norms = np.linalg.norm(np.stack(terms_at_t), 2, axis=(1, 2))
     term_bounds = np.array([M_fit * math.exp(omega * t) * t ** (2 * n)
                             / math.factorial(2 * n)
                             for n in range(n_max + 1)])
     bound_ok = bool(np.all(term_norms <= term_bounds + 1e-8))
     return FattoriniReport(omega, t, n_max, m, refinements, partials, errors,
-                           term_norms, term_bounds, bound_ok, errors[-1])
+                           term_norms, term_bounds, bound_ok, errors[-1], path)

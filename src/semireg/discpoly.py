@@ -222,10 +222,13 @@ def bernstein_check(f: Polynomial, N: int, l: int, x: float,
 
 
 def eval_matrix(f: Polynomial, M: np.ndarray) -> np.ndarray:
-    """f(M) by Horner's scheme."""
+    """f(M) by Horner's scheme, started from c_d M + c_{d-1} I."""
     M = np.asarray(M, dtype=complex)
     ident = np.eye(M.shape[0], dtype=complex)
-    out = f.coeffs[-1] * ident
-    for a in f.coeffs[-2::-1]:
+    c = f.coeffs
+    if c.size == 1:
+        return c[0] * ident
+    out = c[-1] * M + c[-2] * ident
+    for a in c[-3::-1]:
         out = out @ M + a * ident
     return out

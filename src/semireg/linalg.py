@@ -51,7 +51,9 @@ _POWER_RESTARTS = 8          # random restarts for the p-norm iteration
 _POWER_ITERS = 200
 _TINY = np.finfo(float).tiny
 _NORMAL_TOL = 64.0 * np.finfo(float).eps  # spectral: residuals within 64 n eps
-_SKEW_WEIGHT = 0.6180339887498949        # eigh of H + w(-iK) has eigenvalues Re + w Im
+# eigh of H + w(-iK) has eigenvalues Re + w Im; two irrational weights, as
+# distinct eigenvalues that meet under one separate under the other.
+_SKEW_WEIGHTS = (0.6180339887498949, 0.41421356237309503)
 
 # Pade order-13 numerator coefficients for the scaling-and-squaring
 # exponential (denominator uses the alternating-sign counterpart).
@@ -89,7 +91,8 @@ def spectral(A) -> tuple[np.ndarray | None, np.ndarray] | None:
     """(V, lam) with A = V diag(lam) V^H, V unitary or None for a diagonal A;
     None when ||A A^H - A^H A||_F > 64 n eps ||A||_F^2 or, for V from ``eigh``
     of H + w(-iK) (H, K the Hermitian and skew parts of A) and its Rayleigh
-    quotients lam, when ||A V - V diag(lam)||_F > 64 n eps ||A||_F."""
+    quotients lam, when ||A V - V diag(lam)||_F > 64 n eps ||A||_F under
+    both weights w."""
     A = _as_matrix(A)
     if _is_diagonal(A):
         return None, np.diagonal(A)
@@ -97,10 +100,13 @@ def spectral(A) -> tuple[np.ndarray | None, np.ndarray] | None:
     tol = _NORMAL_TOL * A.shape[0] * fro
     if np.linalg.norm(A @ AH - AH @ A) > tol * fro:
         return None
-    V = np.linalg.eigh((A + AH) / 2.0 + _SKEW_WEIGHT * (-0.5j) * (A - AH))[1]
-    AV = A @ V
-    lam = np.einsum("ij,ij->j", V.conj(), AV)
-    return None if np.linalg.norm(AV - V * lam) > tol else (V, lam)
+    for w in _SKEW_WEIGHTS:
+        V = np.linalg.eigh((A + AH) / 2.0 + w * (-0.5j) * (A - AH))[1]
+        AV = A @ V
+        lam = np.einsum("ij,ij->j", V.conj(), AV)
+        if np.linalg.norm(AV - V * lam) <= tol:
+            return V, lam
+    return None
 
 
 def _from_eig(V: np.ndarray | None, f: np.ndarray) -> np.ndarray:

@@ -410,6 +410,25 @@ def test_series_divergence_exits_three(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--nodes", "0"], ["--nodes", "-4"], ["--omega", "nan"],
+    ["--omega", "inf"], ["--t", "nan"], ["--t", "inf"],
+], ids=lambda f: f[0][2:] + "=" + f[1])
+def test_bad_fattorini_input_exits_two(flags, capsys):
+    rc = main(["fattorini", "--zoo", "tridiag_laplacian", "--dim", "8"] + flags)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("invalid input") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("zoo_name, path", [("tridiag_laplacian", "spectral"),
+                                            ("jordan", "matrix")])
+def test_fattorini_echoes_its_path(zoo_name, path, tmp_path):
+    argv = ["fattorini", "--zoo", zoo_name, "--dim", "8", "--n-max", "4",
+            "--nodes", "16"]
+    assert run_json(argv, tmp_path)["results"]["path"] == path
+
+
 @pytest.mark.parametrize("argv", [
     ["gaussian", "--zoo", "jordan"],
     ["interpolate", "--zoo", "heat_conv", "--dim", "8", "--poly", "[1]"],

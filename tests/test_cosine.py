@@ -2,6 +2,7 @@
 the d'Alembert and Laplace-transform identities, zero-two profiles, the
 polynomial witness on groups, and the shifted-generator series."""
 
+import copy
 import math
 import warnings
 
@@ -460,6 +461,83 @@ def test_convolve_level_matches_per_row_reference(case):
                 <= 1e-12 * np.linalg.norm(ref[-1], 2))
 
 
+def matrix_twin(fam):
+    """The same family with its eigenpair dropped: it samples matrices."""
+    twin = copy.copy(fam)
+    twin.eig = None
+    return twin
+
+
+@pytest.mark.parametrize("case", [
+    ("growing", 0.5, 0.3),
+    ("oscillating", 1.0, 0.5),
+    ("group", 1.0, 0.5),
+], ids=lambda c: c[0])
+def test_spectral_series_matches_per_row_reference(case):
+    name, omega, t = case
+    if name == "growing":
+        fam = spectral_family(np.linspace(0.0, 400.0, 6), 5)
+    elif name == "oscillating":
+        fam = spectral_family(np.linspace(-400.0, 0.0, 6), 6)
+    else:
+        B = skew_hermitian(np.random.default_rng(12), 5)
+        fam = cosine_from_group(B, verify=False)
+    n_max = 6
+    rep = fattorini_series(fam, omega, n_max, t, quad_nodes=32)
+    assert rep.path == "spectral"
+    twin = fattorini_series(matrix_twin(fam), omega, n_max, t, quad_nodes=32)
+    assert twin.path == "matrix"
+    assert (rep.nodes, rep.refinements) == (twin.nodes, twin.refinements)
+    # Matrix samples on the final grid, convolved row by row.
+    m = rep.nodes
+    pts = [fam.sample(i * t / m) for i in range(m + 1)]
+    S = np.stack([pq[1] for pq in pts])
+    level = np.stack([pq[0] for pq in pts])
+    ref = level[-1].copy()
+    assert np.linalg.norm(rep.partial_sums[0] - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+    for n in range(1, n_max + 1):
+        level = per_row_level(S, level, t / m)
+        ref = ref + (-omega) ** n * level[-1]
+        assert (np.linalg.norm(rep.partial_sums[n] - ref, 2)
+                <= 1e-12 * np.linalg.norm(ref, 2))
+
+
+def test_spectral_series_overflow_is_numerical_failure():
+    rng = np.random.default_rng(14)
+    Q = np.linalg.qr(rand_matrix(rng, 4))[0]
+    A = (Q * np.array([800.0 ** 2, -1.0, 4.0, 0.0])) @ Q.conj().T
+    fam = cosine_from_generator(A, verify=False)
+    assert fam.eig is not None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError):
+            fattorini_series(fam, 0.5, 4, 1.0, quad_nodes=16)
+    assert not caught
+
+
+def test_series_samples_matrices_only_without_an_eigenpair(monkeypatch):
+    calls = []
+    sample = CosineFamily.sample
+
+    def counting(self, t):
+        calls.append(t)
+        return sample(self, t)
+
+    monkeypatch.setattr(CosineFamily, "sample", counting)
+    normal = cosine_from_generator(zoo.build("tridiag_laplacian", 8).matrix,
+                                   verify=False)
+    rep = fattorini_series(normal, 0.5, 4, 0.8, quad_nodes=16)
+    assert rep.path == "spectral"
+    assert calls == [0.8]           # the reference C(t) of A - omega only
+    calls.clear()
+    rng = np.random.default_rng(10)
+    rep = fattorini_series(cosine_from_generator(rand_matrix(rng, 3, 0.6),
+                                                 verify=False),
+                           0.5, 4, 0.8, quad_nodes=16)
+    assert rep.path == "matrix"
+    assert len(calls) == rep.nodes + 2     # every grid node, then the reference
+
+
 def test_series_validation():
     fam = cosine_from_generator(np.diag([1.0 + 0.0j]))
     with pytest.raises(BadParams):
@@ -468,3 +546,8 @@ def test_series_validation():
         fattorini_series(fam, 1.0, 0, 1.0)
     with pytest.raises(BadParams):
         fattorini_series(fam, 1.0, 4, -0.5)
+    for omega, t, nodes in ((math.nan, 1.0, 8), (math.inf, 1.0, 8),
+                            (1.0, math.nan, 8), (1.0, math.inf, 8),
+                            (1.0, 1.0, 0), (1.0, 1.0, -4)):
+        with pytest.raises(BadParams):
+            fattorini_series(fam, omega, 4, t, quad_nodes=nodes)

@@ -208,3 +208,15 @@ def test_eval_matrix_diagonal():
     T = np.diag([1.0 + 0.0j, 1j])
     out = eval_matrix(f, T)
     np.testing.assert_allclose(out, np.diag([0.0, 1j - 1.0]), atol=1e-14)
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_eval_matrix_matches_power_sum(degree):
+    rng = np.random.default_rng(40 + degree)
+    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    coeffs[-1] += 2.0          # keep the leading coefficient from trimming
+    M = 0.5 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    ref = sum(a * np.linalg.matrix_power(M, k) for k, a in enumerate(coeffs))
+    out = eval_matrix(Polynomial(coeffs), M)
+    assert out.shape == (5, 5)
+    assert np.linalg.norm(out - ref, 2) <= 1e-13 * (1.0 + np.linalg.norm(ref, 2))

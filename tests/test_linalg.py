@@ -214,17 +214,30 @@ def test_spectral_rejects_non_normal(A):
     assert spectral(A) is None
 
 
-def test_spectral_rejects_eigenvalues_that_meet_under_the_weight():
-    # lam = 0 and i - w share Re + w Im = 0, so eigh returns any basis of
-    # their joint eigenspace; the residual check must refuse it, and the
+def test_spectral_rejects_eigenvalues_that_meet_under_both_weights():
+    # 0 and i - w1 share Re + w1 Im = 0, and 0 and 2i - 2 w2 share
+    # Re + w2 Im = 0, so under either weight eigh returns any basis of a
+    # joint eigenspace; the residual check must refuse both, and the
     # exponential then comes from Pade.
-    w = linalg._SKEW_WEIGHT
-    Q = _unitary(np.random.default_rng(15), 2)
-    lam = np.array([0.0, 1j - w])
+    w1, w2 = linalg._SKEW_WEIGHTS
+    Q = _unitary(np.random.default_rng(15), 3)
+    lam = np.array([0.0, 1j - w1, 2j - 2.0 * w2])
     A = (Q * lam) @ Q.conj().T
     assert spectral(A) is None
     ref = (Q * np.exp(0.7 * lam)) @ Q.conj().T
     assert np.linalg.norm(mat_exp(A, 0.7) - ref, 2) <= 1e-14
+
+
+def test_spectral_separates_eigenvalues_that_meet_under_one_weight():
+    # 0 and i - w1 meet under the first weight only; the second splits them.
+    w1 = linalg._SKEW_WEIGHTS[0]
+    Q = _unitary(np.random.default_rng(15), 2)
+    lam = np.array([0.0, 1j - w1])
+    A = (Q * lam) @ Q.conj().T
+    eig = spectral(A)
+    assert eig is not None
+    ref = (Q * np.exp(0.7 * lam)) @ Q.conj().T
+    assert np.linalg.norm(mat_exp(A, 0.7, eig) - ref, 2) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
