@@ -402,8 +402,13 @@ def cmd_sector(r: Resolver):
     theta_pos = theta if theta > 0.0 else theta + 2.0 * math.pi
     n_alpha = r("alpha_points", 16)
     dec = r("alpha_decades", 4.0)
+    if not math.isfinite(dec):
+        raise BadParams(f"--alpha-decades must be finite, got {dec}")
     ts = t0 * 10.0 ** (-dec * np.arange(n_alpha) / max(n_alpha - 1, 1))
-    alpha = np.concatenate([theta_pos / ts, (theta_pos - 2 * math.pi) / ts])
+    # A t0 of 0 or a subnormal t0 leaves non-finite alphas: sector_report
+    # rejects them, so they are not warned here.
+    with np.errstate(divide="ignore", over="ignore"):
+        alpha = np.concatenate([theta_pos / ts, (theta_pos - 2 * math.pi) / ts])
     rep = sector_report(gen, zeta, t0, space, alpha, seed)
     results = {
         "zeta": zeta, "t0": rep.t0, "K": rep.K, "M": rep.M, "C": rep.C,
@@ -413,6 +418,7 @@ def cmd_sector(r: Resolver):
         "verdict": "separated" if (rep.k_bounded and rep.bound_ok)
                    else "not_separated",
         "threshold": TOLERANCES["sector_chain"],
+        "path": rep.path,
     }
     rows = [(float(a), float(s), float(b), bool(m))
             for a, s, b, m in zip(rep.alpha_grid, rep.resolvent_sups,
@@ -518,6 +524,7 @@ def cmd_zero_two(r: Resolver):
         "extrapolated": rep.extrapolated, "verdict": rep.verdict,
         "threshold_high": TOLERANCES["zero_two_high"],
         "threshold_low": TOLERANCES["zero_two_low"],
+        "paths": rep.paths,
     }
     rows = [(d, float(t), float(v))
             for d, vals in zip(rep.dims, rep.values)

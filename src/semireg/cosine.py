@@ -21,7 +21,7 @@ import numpy as np
 from .discpoly import Polynomial, eval_matrix, power_expand
 from .errors import (BadParams, NumericalError, QuadratureDivergence,
                      SeriesNotConverged, TailTooFat)
-from .linalg import (_norm1, _from_eig, mat_exp, op_norm,
+from .linalg import (_norm1, _from_eig, eig_norms, mat_exp, op_norm,
                      quad_strong_integral, resolvent, spectral)
 from .semigroup import (GrowthBound, _check_grid, _inverse_dim_limit,
                         _smallest_decade_max)
@@ -226,6 +226,7 @@ class ZeroTwoReport:
     plateaus: list
     extrapolated: float
     verdict: str
+    paths: list                     # "spectral" or "matrix", one per family
 
 
 def zero_two_profile(families: Sequence[CosineFamily], t_grid,
@@ -236,14 +237,23 @@ def zero_two_profile(families: Sequence[CosineFamily], t_grid,
     branch of the dichotomy, plateaus near 0 the uniformly continuous
     one; the largest dimension decides, with thresholds 2 - 0.05 and
     0.05, and a 1/dim fit reports the extrapolated limit.
+
+    A family whose eigenpair ``linalg.eig_norms`` applies to in the space
+    (path "spectral") takes max_k |cosh(t w_k) - 1| for the whole grid from
+    one ``_eig_samples`` call; any other (path "matrix") takes ``op_norm``
+    of C(t) - I per grid time.
     """
     t = _check_grid(t_grid)
-    dims, values, plateaus = [], [], []
+    dims, values, plateaus, paths = [], [], [], []
     for fam in families:
         space = GridSpace.unit(fam.dim, p)
-        ident = np.eye(fam.dim, dtype=complex)
-        vals = np.array([op_norm(fam.sample(float(ti))[0] - ident, space).value
-                         for ti in t])
+        vals = (None if fam.eig is None else
+                eig_norms(fam.eig, fam._eig_samples(t)[0] - 1.0, space))
+        paths.append("matrix" if vals is None else "spectral")
+        if vals is None:
+            ident = np.eye(fam.dim, dtype=complex)
+            vals = np.array([op_norm(fam.sample(float(ti))[0] - ident, space).value
+                             for ti in t])
         dims.append(fam.dim)
         values.append(vals)
         plateaus.append(_smallest_decade_max(t, vals))
@@ -257,7 +267,8 @@ def zero_two_profile(families: Sequence[CosineFamily], t_grid,
         verdict = "intermediate"
     extrapolated = _inverse_dim_limit(np.asarray(dims, dtype=float),
                                       np.asarray(plateaus))
-    return ZeroTwoReport(dims, t, values, plateaus, extrapolated, verdict)
+    return ZeroTwoReport(dims, t, values, plateaus, extrapolated, verdict,
+                         paths)
 
 
 def zero_two_polynomial_witness(fam: CosineFamily, t_grid, N: int,
@@ -390,15 +401,25 @@ def fattorini_series(fam: CosineFamily, omega: float, n_max: int, t: float,
 
         at_t = [C_samples[-1]]
         level = C_samples
-        for _ in range(n_max):
-            level = convolve(S_samples, level, h)
-            at_t.append(level[-1])
-        terms_at_t = at_t if eig is None else [_from_eig(eig[0], c) for c in at_t]
-        partials = []
-        acc = np.zeros_like(terms_at_t[0])
-        for n, term in enumerate(terms_at_t):
-            acc = acc + (-omega) ** n * term
-            partials.append(acc.copy())
+        # C_n(t) grows like (t / w)^n cosh(t w): a level or a partial sum can
+        # overflow where every sample is finite.  Non-finite values are
+        # checked, not warned.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, n_max + 1):
+                level = convolve(S_samples, level, h)
+                if not np.all(np.isfinite(level)):
+                    raise NumericalError(
+                        f"Fattorini level C_{n} overflows on [0, {t}] ({m} nodes)")
+                at_t.append(level[-1])
+            terms_at_t = at_t if eig is None else [_from_eig(eig[0], c) for c in at_t]
+            partials = []
+            acc = np.zeros_like(terms_at_t[0])
+            for n, term in enumerate(terms_at_t):
+                acc = acc + np.power(-omega, n) * term
+                if not np.all(np.isfinite(acc)):
+                    raise NumericalError(
+                        f"Fattorini partial sum P_{n} overflows at t = {t}")
+                partials.append(acc.copy())
         final = partials[-1]
         if prev_final is not None and float(
                 np.linalg.norm(final - prev_final, 2)) < refine_tol:

@@ -36,6 +36,7 @@ __all__ = [
     "QuadResult",
     "Segment",
     "contour_integral",
+    "eig_norms",
     "mat_exp",
     "op_norm",
     "quad_strong_integral",
@@ -112,6 +113,21 @@ def spectral(A) -> tuple[np.ndarray | None, np.ndarray] | None:
 def _from_eig(V: np.ndarray | None, f: np.ndarray) -> np.ndarray:
     """V diag(f) V^H, or diag(f) when V is None."""
     return np.diag(f) if V is None else (V * f) @ V.conj().T
+
+
+def eig_norms(eig, F, space: GridSpace) -> np.ndarray | None:
+    """||V diag(f) V^H|| in ``space`` for each row f of F, from ``eig = (V, lam)``:
+    max_k |f_k| when V is None (a diagonal operator, at any p and weights) or
+    the space is ``GridSpace.unit(n, 2)`` (V is unitary).  None when neither
+    holds, or when eig is None: the caller then forms the matrices."""
+    if eig is None or (eig[0] is not None
+                       and not (space.p == 2.0 and np.all(space.weights == 1.0))):
+        return None
+    F = np.asarray(F)
+    if F.shape[-1] != space.dim:
+        raise BadParams(f"eigen-coordinates of length {F.shape[-1]} do not "
+                        f"match space dim {space.dim}")
+    return np.abs(F).max(axis=-1)
 
 
 def mat_exp(A, t: float = 1.0, eig=None) -> np.ndarray:
@@ -287,6 +303,13 @@ def op_norm(A, space: GridSpace, seed: int = 0, *,
     return OpNormResult(best, True, best_x / scale if maximizer else None)
 
 
+def _check_cond(cond: float, lam) -> None:
+    """``SpectrumHit`` when a resolvent's condition at lam is not finite or
+    exceeds the cap: lam is numerically in the spectrum."""
+    if not np.isfinite(cond) or cond > _COND_CAP:
+        raise SpectrumHit(f"resolvent at lam={lam}: condition estimate {cond:.3e} exceeds cap")
+
+
 def resolvent(A, lam: complex) -> np.ndarray:
     """(lam - A)^{-1} by LU solve with a condition cap.
 
@@ -301,9 +324,7 @@ def resolvent(A, lam: complex) -> np.ndarray:
         X = np.linalg.solve(M, ident)
     except np.linalg.LinAlgError:
         raise SpectrumHit(f"resolvent at lam={lam}: factorization singular") from None
-    cond = _norm1(M) * _norm1(X)
-    if not np.isfinite(cond) or cond > _COND_CAP:
-        raise SpectrumHit(f"resolvent at lam={lam}: condition estimate {cond:.3e} exceeds cap")
+    _check_cond(_norm1(M) * _norm1(X), lam)
     R = M @ X - ident
     # The Frobenius norm bounds the 2-norm from above without an SVD.
     if float(np.linalg.norm(R, "fro")) > 1e-12:

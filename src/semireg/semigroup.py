@@ -17,9 +17,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .discpoly import Polynomial, disc_norm, eval_matrix, in_C1, power_expand
-from .errors import BadParams, PhaseMismatch, QuadratureDivergence
-from .linalg import (_GL_NODES, _GL_WEIGHTS, mat_exp, op_norm,
-                     quad_strong_integral, resolvent, spectral)
+from .errors import (BadParams, NumericalError, PhaseMismatch,
+                     QuadratureDivergence)
+from .linalg import (_GL_NODES, _GL_WEIGHTS, _check_cond, eig_norms, mat_exp,
+                     op_norm, quad_strong_integral, resolvent, spectral)
 from .spaces import GridSpace, pnorms
 
 __all__ = [
@@ -220,6 +221,36 @@ class SectorReport:
     k_bounded: bool
     bound_ok: bool
     estimate: bool
+    path: str                       # "spectral" (from gen.eig) or "matrix"
+
+
+def _exp_rows(gen: GeneratorSpec, ts: np.ndarray, space: GridSpace):
+    """(e^{t lam} with one row per time in ts, the norms ||T(t)||) from
+    ``gen.eig`` by ``eig_norms``, or None when that rule does not apply in
+    space.  A row that overflows raises ``NumericalError``, as ``mat_exp``."""
+    if gen.eig is None:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = np.exp(ts[:, None] * gen.eig[1])
+    norms = eig_norms(gen.eig, E, space)
+    if norms is None:
+        return None
+    bad = ~np.isfinite(norms)
+    if np.any(bad):
+        raise NumericalError(f"e^(tA) overflows at t = {float(ts[bad][0])}")
+    return E, norms
+
+
+def _inverse_norms(eig, mu: np.ndarray, space: GridSpace, at) -> np.ndarray:
+    """||(V diag(mu_i) V^H)^{-1}|| = 1 / min_k |mu_ik| for each row mu_i, by
+    ``eig_norms``.  A row whose 2-norm condition max|mu_i| / min|mu_i| is not
+    finite or exceeds the resolvent cap raises ``SpectrumHit`` at at[i]."""
+    a = np.abs(mu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = a.max(axis=-1) / a.min(axis=-1)
+    for c, z in zip(cond, at):
+        _check_cond(c, z)
+    return eig_norms(eig, 1.0 / mu, space)
 
 
 def sector_report(gen: GeneratorSpec, zeta: complex, t0: float,
@@ -229,49 +260,72 @@ def sector_report(gen: GeneratorSpec, zeta: complex, t0: float,
     ||alpha (A - i alpha)^{-1}|| <= K * M * theta for |alpha| beyond theta/t0.
 
     Both phase orientations are used: positive alpha against the
-    positive phase of zeta, negative alpha against phase - 2 pi.
+    positive phase of zeta, negative alpha against phase - 2 pi.  The
+    grid must hold at least one admissible alpha.
+
+    Path "spectral" (``eig_norms`` applies to ``gen.eig`` in space) forms
+    no matrix: with mu = zeta - e^{t lam} and mu = i alpha - lam, K, M and
+    the sups are max_k 1/|mu_k|, max_k |e^{t lam_k}| and |alpha| / min_k
+    |mu_k|, and ``SpectrumHit`` means a zero minimum modulus or a 2-norm
+    condition max|mu| / min|mu| above the cap of ``resolvent``.  For a
+    diagonal A that is exactly the 1-norm estimate ``resolvent`` applies;
+    for a dense normal A the two differ by at most a factor n.  Path
+    "matrix" takes ``op_norm`` of T(t) and of ``resolvent`` for each time
+    and alpha.
     """
-    if t0 <= 0.0:
-        raise BadParams(f"need t0 > 0, got {t0}")
-    if abs(abs(zeta) - 1.0) > 1e-9:
+    if not (math.isfinite(t0) and t0 > 0.0):
+        raise BadParams(f"need finite t0 > 0, got {t0}")
+    if not abs(abs(zeta) - 1.0) <= 1e-9:
         raise BadParams(f"zeta must have modulus 1, got |zeta| = {abs(zeta)}")
+    alpha = np.asarray(alpha_grid, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(alpha)):
+        raise BadParams("alpha_grid must be finite")
+    if np.any(alpha == 0.0):
+        raise BadParams("alpha_grid must not contain 0")
     theta = math.atan2(zeta.imag, zeta.real)
     theta_pos = theta if theta > 0.0 else theta + 2.0 * math.pi
     theta_neg = theta_pos - 2.0 * math.pi
+    th = np.abs(np.where(alpha > 0.0, theta_pos, theta_neg))
+    admissible = np.abs(alpha) >= th / t0
+    if not np.any(admissible):
+        raise BadParams(f"alpha_grid holds no alpha with |alpha| >= |theta| / t0 "
+                        f"(alpha0 = {theta_pos / t0}, {theta_neg / t0})")
+    a = alpha[admissible]
     ts = t0 * 10.0 ** (-_SECTOR_DECADES * np.arange(_SECTOR_SAMPLES) /
                        (_SECTOR_SAMPLES - 1))
-    K = 0.0
-    M = 1.0
     estimate = False
-    for ti in ts:
-        Tt = gen.semigroup(float(ti))
-        rn = op_norm(resolvent(Tt, zeta), space, seed=seed)
-        tn = op_norm(Tt, space, seed=seed)
-        K = max(K, rn.value)
-        M = max(M, tn.value)
-        estimate = estimate or rn.estimate or tn.estimate
-    alpha = np.asarray(alpha_grid, dtype=float).reshape(-1)
-    if np.any(alpha == 0.0):
-        raise BadParams("alpha_grid must not contain 0")
+    rows = _exp_rows(gen, ts, space)
+    if rows is not None:
+        E, Mt = rows
+        K = float(np.max(_inverse_norms(gen.eig, zeta - E, space,
+                                        [zeta] * ts.size)))
+        M = max(1.0, float(np.max(Mt)))
+        norms = _inverse_norms(gen.eig, 1j * a[:, None] - gen.eig[1], space,
+                               1j * a)
+    else:
+        K, M = 0.0, 1.0
+        for ti in ts:
+            Tt = gen.semigroup(float(ti))
+            rn = op_norm(resolvent(Tt, zeta), space, seed=seed)
+            tn = op_norm(Tt, space, seed=seed)
+            K = max(K, rn.value)
+            M = max(M, tn.value)
+            estimate = estimate or rn.estimate or tn.estimate
+        norms = np.empty(a.size)
+        for i, ai in enumerate(a):
+            r = op_norm(resolvent(gen.matrix, 1j * ai), space, seed=seed)
+            estimate = estimate or r.estimate
+            norms[i] = r.value
     sups = np.full(alpha.size, np.nan)
     bounds = np.full(alpha.size, np.nan)
-    admissible = np.zeros(alpha.size, dtype=bool)
-    for i, a in enumerate(alpha):
-        th = theta_pos if a > 0.0 else theta_neg
-        if abs(a) < abs(th) / t0:
-            continue
-        admissible[i] = True
-        r = op_norm(resolvent(gen.matrix, 1j * a), space, seed=seed)
-        estimate = estimate or r.estimate
-        sups[i] = abs(a) * r.value
-        bounds[i] = K * M * abs(th) + tol
+    sups[admissible] = np.abs(a) * norms
+    bounds[admissible] = K * M * th[admissible] + tol
     k_bounded = K < _K_UNBOUNDED
-    mask = admissible
-    bound_ok = bool(k_bounded and np.all(sups[mask] <= bounds[mask]))
-    C = float(np.max(sups[mask])) if np.any(mask) else float("nan")
+    bound_ok = bool(k_bounded and np.all(sups[admissible] <= bounds[admissible]))
+    C = float(np.max(sups[admissible]))
     return SectorReport(zeta, t0, K, M, alpha, sups, bounds, admissible, C,
                         theta_pos / t0, theta_neg / t0, k_bounded, bound_ok,
-                        estimate)
+                        estimate, "matrix" if rows is None else "spectral")
 
 
 def converse_profile(gen: GeneratorSpec, f: Polynomial, N: int, K: float,
@@ -360,14 +414,17 @@ def mild_solution(gen: GeneratorSpec, forcing: Callable[[float], np.ndarray],
 
 def check_growth(gen: GeneratorSpec, samples: int = 64, tol: float = 1e-6,
                  p: float = 2.0) -> bool:
-    """Verify the certified growth bound on its horizon (log-spaced t)."""
+    """Verify the certified growth bound on its horizon (log-spaced t); the
+    norms ||T(t)|| come from ``gen.eig`` where ``eig_norms`` applies."""
     if gen.growth is None:
         raise BadParams("generator carries no growth data")
     g = gen.growth
     space = GridSpace.unit(gen.dim, p)
     ts = g.horizon * 10.0 ** (-3.0 * np.arange(samples) / (samples - 1))
-    for t in ts:
-        val = op_norm(gen.semigroup(float(t)), space).value
+    rows = _exp_rows(gen, ts, space)
+    vals = (rows[1] if rows is not None else
+            (op_norm(gen.semigroup(float(t)), space).value for t in ts))
+    for t, val in zip(ts, vals):
         if val > g.M * math.exp(g.omega * t) + tol:
             return False
     return True

@@ -429,6 +429,58 @@ def test_fattorini_echoes_its_path(zoo_name, path, tmp_path):
     assert run_json(argv, tmp_path)["results"]["path"] == path
 
 
+@pytest.mark.parametrize("argv, key, path", [
+    (["sector", "--zoo", "tridiag_laplacian", "--dim", "8",
+      "--alpha-points", "4"], "path", "spectral"),
+    (["sector", "--zoo", "heat_conv", "--dim", "8", "--alpha-points", "4",
+      "--p", "4"], "path", "matrix"),
+    (["sector", "--zoo", "jordan", "--dim", "8", "--alpha-points", "4"],
+     "path", "matrix"),
+    (["zero-two", "--zoo", "jordan", "--dims", "[16]"], "paths", ["matrix"]),
+    (["zero-two", "--zoo", "shift_periodic", "--dims", "[8,16]"], "paths",
+     ["spectral", "spectral"]),
+], ids=["sector-spectral", "sector-p4", "sector-jordan", "zero-two-jordan",
+        "zero-two-spectral"])
+def test_sector_and_zero_two_echo_their_paths(argv, key, path, tmp_path):
+    assert run_json(argv, tmp_path)["results"][key] == path
+
+
+@pytest.mark.parametrize("zoo_name", ["heat_conv", "jordan"])
+@pytest.mark.parametrize("flags", [
+    ["--alpha-points", "0"], ["--alpha-points", "-3"], ["--t0", "nan"],
+    ["--t0", "inf"], ["--t0", "0"], ["--alpha-decades", "nan"],
+    ["--alpha-decades", "inf"], ["--zeta", "[NaN,0]"],
+], ids=lambda f: f[0][2:] + "=" + f[1])
+def test_bad_sector_input_exits_two(flags, zoo_name, capsys):
+    rc = main(["sector", "--zoo", zoo_name, "--dim", "8"] + flags)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("invalid input") and err.count("\n") == 1
+    assert flags[0][2:].split("-")[0] in err        # t0, alpha or zeta
+
+
+@pytest.mark.parametrize("matrix, flags, where", [
+    # cosh(700) ~ 5e303 is finite, C_2(1000) is not.
+    ([[0.49]], ["--t", "1000"], "level C_2"),
+    ([[0.49, 1.0], [0.0, 0.49]], ["--t", "1000"], "level C_1"),
+    # omega^103 overflows although every level is finite.
+    ([[-2.0]], ["--omega", "1000", "--t", "1", "--n-max", "120"],
+     "partial sum P_103"),
+], ids=["spectral-level", "matrix-level", "partial-sum"])
+def test_fattorini_overflow_exits_three(matrix, flags, where, tmp_path, capsys):
+    path = tmp_path / "m.mat"
+    A = np.array(matrix, dtype=complex)
+    write_matrix_file(str(path), A)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["fattorini", "--matrix-file", str(path)] + flags)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("numerical failure") and where in err
+    assert not caught
+    assert (linalg.spectral(A) is None) == (A.shape[0] == 2)
+
+
 @pytest.mark.parametrize("argv", [
     ["gaussian", "--zoo", "jordan"],
     ["interpolate", "--zoo", "heat_conv", "--dim", "8", "--poly", "[1]"],

@@ -306,6 +306,42 @@ def test_zero_two_bounded_generator_plateau_zero():
     assert rep.extrapolated == pytest.approx(rep.plateaus[0])
 
 
+@pytest.mark.parametrize("name", ["tridiag_laplacian", "heat_conv",
+                                  "shift_periodic", "skew_diag"])
+def test_zero_two_paths_agree(name):
+    make = (cosine_from_group if name in ("skew_diag", "shift_periodic")
+            else cosine_from_generator)
+    fams = [make(zoo.build(name, d).matrix, verify=False) for d in (8, 16, 32)]
+    forced = [copy.copy(f) for f in fams]
+    for f in forced:
+        f.eig = None
+    # On t >= 0.02 every ||C(t) - I|| is above 1e-4.  The matrix path forms
+    # C(t) - I with an absolute error of order eps, which at 1e-5 would
+    # already be 1e-11 relative.
+    grid = log_time_grid(2.0, 2.0, 8)
+    a = zero_two_profile(fams, grid)
+    b = zero_two_profile(forced, grid)
+    assert a.paths == ["spectral"] * 3 and b.paths == ["matrix"] * 3
+    for u, v in zip(a.values, b.values):
+        assert np.min(v) > 1e-4
+        np.testing.assert_allclose(u, v, rtol=1e-12, atol=0.0)
+    assert a.verdict == b.verdict
+
+
+def test_zero_two_paths_follow_the_norm():
+    # A dense normal family keeps the matrix path at p = 4; a diagonal one
+    # and the non-normal jordan block are on their one path at any p.
+    fams = [cosine_from_group(zoo.build("shift_periodic", 8).matrix,
+                              verify=False),
+            cosine_from_group(zoo.build("skew_diag", 8).matrix, verify=False),
+            cosine_from_generator(zoo.build("jordan", 8).matrix, verify=False)]
+    grid = log_time_grid(1.0, 2.0, 4)
+    assert zero_two_profile(fams, grid, 2.0).paths == ["spectral", "spectral",
+                                                       "matrix"]
+    assert zero_two_profile(fams, grid, 4.0).paths == ["matrix", "spectral",
+                                                       "matrix"]
+
+
 # ---------------------------------------------------------------------------
 # polynomial witness on groups
 

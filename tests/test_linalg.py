@@ -17,6 +17,7 @@ from semireg.linalg import (
     ContourSpec,
     _is_diagonal,
     contour_integral,
+    eig_norms,
     mat_exp,
     op_norm,
     quad_strong_integral,
@@ -255,6 +256,33 @@ def test_op_norm_diagonal_all_p():
     for p in (1.0, 2.0, 4.0, math.inf):
         res = op_norm(np.diag(lam), GridSpace.unit(3, p))
         assert res.value == pytest.approx(2.5, abs=1e-7)
+
+
+def test_eig_norms_closed_form_where_exact():
+    rng = np.random.default_rng(21)
+    Q = np.linalg.qr(rng.standard_normal((5, 5))
+                     + 1j * rng.standard_normal((5, 5)))[0]
+    lam = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    F = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    got = eig_norms((Q, lam), F, GridSpace.unit(5, 2.0))
+    want = [np.linalg.norm((Q * f) @ Q.conj().T, 2) for f in F]
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+    # A diagonal operator at any p and weights: weighted column sums at
+    # p = 1, row sums at p = inf.
+    w = rng.uniform(0.5, 2.0, 5)
+    absF = np.abs(F)
+    for p in (1.0, 3.0, math.inf):
+        got = eig_norms((None, lam), F, GridSpace(5, w, p))
+        np.testing.assert_array_equal(got, absF.max(axis=1))
+    np.testing.assert_array_equal(
+        eig_norms((None, lam), F, GridSpace(5, w, 1.0)),
+        [np.max((w @ np.diag(a)) / w) for a in absF])
+    # No closed form: a dense eigenbasis off the unit p = 2 space, or no pair.
+    assert eig_norms((Q, lam), F, GridSpace.unit(5, 4.0)) is None
+    assert eig_norms((Q, lam), F, GridSpace(5, w, 2.0)) is None
+    assert eig_norms(None, F, GridSpace.unit(5, 2.0)) is None
+    with pytest.raises(BadParams):
+        eig_norms((Q, lam), F, GridSpace.unit(4, 2.0))
 
 
 def test_op_norm_column_sum():

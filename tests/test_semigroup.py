@@ -1,6 +1,7 @@
 """Tests for semigroup profiles, the resolvent identity behind sector
 reports, the converse profile and maximal-regularity ratios."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,11 +10,12 @@ import pytest
 
 from semireg.discpoly import Polynomial, disc_norm
 from semireg.errors import BadParams, NumericalError, PhaseMismatch, SpectrumHit
-from semireg.linalg import mat_exp
+from semireg.linalg import _COND_CAP, mat_exp
 from semireg.semigroup import (
     GeneratorSpec,
     GrowthBound,
     beurling_profile,
+    check_growth,
     converse_profile,
     dichotomy_fit,
     kato_resolvent_identity_check,
@@ -265,16 +267,88 @@ def test_sector_report_identity_generator():
 
 
 def test_sector_report_skew_family_degrades():
-    # For the skew family zeta = -1 is approached by e^{itk} on the grid:
-    # either a spectrum hit or a large K must be observed.
+    # For the skew family zeta = -1 is approached by e^{itk} on the grid,
+    # so K is large: numpy's max_t 1 / min_k |-1 - e^{itk}| over the 64
+    # sample times t = 10^(-4 j / 63).
     dim = 32
-    spec = GeneratorSpec(np.diag(1j * np.arange(1.0, dim + 1.0)))
-    try:
-        rep = sector_report(spec, -1.0 + 0.0j, 1.0, unit(dim),
-                            two_sided_alphas(1.0))
-        assert rep.K >= 1e2
-    except SpectrumHit:
-        pass
+    k = np.arange(1.0, dim + 1.0)
+    spec = GeneratorSpec(np.diag(1j * k))
+    rep = sector_report(spec, -1.0 + 0.0j, 1.0, unit(dim),
+                        two_sided_alphas(1.0))
+    ts = 10.0 ** (-4.0 * np.arange(64) / 63)
+    near = np.min(np.abs(-1.0 - np.exp(1j * ts[:, None] * k)), axis=1)
+    assert rep.path == "spectral"
+    assert rep.K >= 1e2
+    assert rep.K == pytest.approx(float(np.max(1.0 / near)), rel=1e-12)
+
+
+def matrix_path(gen):
+    """A copy of gen whose cached eigenpair is None: the matrix path."""
+    forced = dataclasses.replace(gen)
+    vars(forced)["eig"] = None
+    return forced
+
+
+@pytest.mark.parametrize("name", ["tridiag_laplacian", "heat_conv",
+                                  "shift_periodic", "skew_diag"])
+def test_sector_report_paths_agree(name):
+    zeta = complex(np.exp(2.5j))
+    alpha = np.array([4.3, -8.7, 40.5, -400.25, 4000.5, 1.0, -1.0])
+    for dim in (8, 16, 32):
+        gen = build(name, dim)
+        a = sector_report(gen, zeta, 0.8, unit(dim), alpha)
+        b = sector_report(matrix_path(gen), zeta, 0.8, unit(dim), alpha)
+        assert (a.path, b.path) == ("spectral", "matrix")
+        assert a.estimate == b.estimate
+        np.testing.assert_array_equal(a.admissible, b.admissible)
+        assert not a.admissible[-2:].any()
+        np.testing.assert_allclose([a.K, a.M, a.C], [b.K, b.M, b.C],
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(a.resolvent_sups, b.resolvent_sups,
+                                   rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("diag, zeta, alpha, hit", [
+    # i alpha - lam has moduli 1 and just below or above the cap.
+    ([1.0 + 5.0j, -_COND_CAP * (1.0 - 1e-6) + 5.0j], -1.0, 5.0, False),
+    ([1.0 + 5.0j, -_COND_CAP * (1.0 + 1e-6) + 5.0j], -1.0, 5.0, True),
+    ([5.0j, -1.0 + 5.0j], -1.0, 5.0, True),     # i alpha is an eigenvalue
+    ([0.0, -1.0], 1.0, 7.0, True),              # T(t) has the eigenvalue zeta
+], ids=["below-cap", "above-cap", "alpha-eigenvalue", "zeta-eigenvalue"])
+def test_sector_report_spectral_condition_cap(diag, zeta, alpha, hit):
+    spec = GeneratorSpec(np.diag(np.array(diag, dtype=complex)))
+    if hit:
+        with pytest.raises(SpectrumHit):
+            sector_report(spec, complex(zeta), 1.0, unit(2), [alpha])
+        return
+    rep = sector_report(spec, complex(zeta), 1.0, unit(2), [alpha])
+    assert rep.path == "spectral"
+    assert rep.resolvent_sups[0] == alpha
+
+
+@pytest.mark.parametrize("t0, zeta, alpha", [
+    (math.nan, -1.0, [5.0]), (math.inf, -1.0, [5.0]), (0.0, -1.0, [5.0]),
+    (1.0, complex(math.nan, 0.0), [5.0]), (1.0, -1.0, [5.0, math.nan]),
+    (1.0, -1.0, [5.0, math.inf]), (1.0, -1.0, []), (1.0, -1.0, [1.0, -3.0]),
+], ids=["t0-nan", "t0-inf", "t0-zero", "zeta-nan", "alpha-nan", "alpha-inf",
+        "alpha-empty", "alpha-none-admissible"])
+def test_sector_report_rejects_bad_input_on_both_paths(t0, zeta, alpha):
+    gen = build("heat_conv", 8)
+    for spec in (gen, matrix_path(gen)):
+        with pytest.raises(BadParams):
+            sector_report(spec, complex(zeta), t0, unit(8), alpha)
+
+
+def test_check_growth_paths_agree():
+    rng = np.random.default_rng(5)
+    Q = np.linalg.qr(rng.standard_normal((6, 6))
+                     + 1j * rng.standard_normal((6, 6)))[0]
+    for top, ok in ((0.0, True), (0.5, False)):
+        lam = np.array([top, -1.0, -2.0, 3j, -3j, -0.5 + 1j])
+        gen = GeneratorSpec((Q * lam) @ Q.conj().T,
+                            growth=GrowthBound(1.0, 0.0, 1.0))
+        assert gen.eig is not None
+        assert check_growth(gen) is check_growth(matrix_path(gen)) is ok
 
 
 # ---------------------------------------------------------------------------
